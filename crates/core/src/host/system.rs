@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use recssd_cache::{LruCache, StaticPartition};
 use recssd_embedding::{LookupBatch, RowScratch, TableId, TableImage};
-use recssd_nvme::{NvmeCommand, NvmeCompletion, NvmeStatus};
+use recssd_nvme::{CompletionData, NvmeCommand, NvmeCompletion, NvmeStatus};
 use recssd_obs::trace::track;
 use recssd_obs::{SpanId, Tracer};
 use recssd_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
@@ -247,7 +247,8 @@ struct BaseIoBufs {
     cmds: Vec<CmdRun>,
     outstanding: FxHashMap<u16, usize>, // cid → index into `cmds`
     backlog: VecDeque<usize>,
-    data: FxHashMap<usize, Vec<u8>>,
+    /// Completed commands' page images, one per block, awaiting folding.
+    data: FxHashMap<usize, Vec<Arc<[u8]>>>,
 }
 
 impl BaseIoBufs {
@@ -266,7 +267,7 @@ impl BaseIoBufs {
 struct BaseIo {
     bufs: BaseIoBufs,
     next: usize,
-    accum_current: Option<(usize, Vec<u8>)>,
+    accum_current: Option<(usize, Vec<Arc<[u8]>>)>,
     cmds_done: usize,
     io_concurrency: usize,
     use_host_cache: bool,
@@ -1022,7 +1023,7 @@ impl System {
 
     /// A read completion (one command, one or more pages) arrived for a
     /// baseline op.
-    fn baseline_on_page(&mut self, now: SimTime, id: OpId, cid: u16, data: Vec<u8>) {
+    fn baseline_on_page(&mut self, now: SimTime, id: OpId, cid: u16, data: Vec<Arc<[u8]>>) {
         let mut phase = std::mem::replace(
             &mut self.ops.get_mut(&id).expect("op").phase,
             Phase::Pending,
@@ -1084,7 +1085,7 @@ impl System {
             // The op was poisoned while this charge was in flight: drop
             // the command instead of folding it, and finish once no reads
             // remain outstanding.
-            self.dev.recycle_buffer(data);
+            self.dev.recycle_pages(data);
             if io.bufs.outstanding.is_empty() {
                 io.bufs.clear();
                 self.baseio_pool.push(io.bufs);
@@ -1107,15 +1108,13 @@ impl System {
         let table = *table;
         let image = &registry.binding(table).image;
         let spec = image.table().spec();
-        let page_bytes = registry.binding(table).image.page_bytes();
         let cmd = io.bufs.cmds[idx];
         let use_cache = io.use_host_cache && host_caches.contains_key(&table.0);
         let first_page = io.bufs.runs[cmd.first as usize].page;
         for run in &io.bufs.runs[cmd.first as usize..(cmd.first + cmd.count) as usize] {
             // A wanted page sits at its distance from the command's first
             // page (bridged gap pages occupy their slots unused).
-            let k = (run.page - first_page) as usize;
-            let page = &data[k * page_bytes..(k + 1) * page_bytes];
+            let page = &data[(run.page - first_page) as usize][..];
             let work = &io.bufs.items[run.start as usize..(run.start + run.len) as usize];
             if use_cache {
                 let cache = host_caches.get_mut(&table.0).expect("checked");
@@ -1138,9 +1137,9 @@ impl System {
                 }
             }
         }
-        // The command has been folded in; its transfer buffer goes back
-        // to the device pool so a same-sized read reuses it.
-        self.dev.recycle_buffer(data);
+        // The command has been folded in; its page images go back to the
+        // device so later reads refill them.
+        self.dev.recycle_pages(data);
         io.cmds_done += 1;
         if io.bufs.backlog.is_empty()
             && io.bufs.outstanding.is_empty()
@@ -1364,7 +1363,9 @@ impl System {
             };
             match phase_kind {
                 0 => {
-                    let data = c.data.expect("read data");
+                    let Some(CompletionData::Pages(data)) = c.data else {
+                        unreachable!("conventional reads return page images")
+                    };
                     if self.ops[&id].failed.is_some() {
                         self.baseline_absorb(now, id, c.cid, data);
                     } else {
@@ -1373,7 +1374,9 @@ impl System {
                 }
                 1 => self.ndp_on_write_done(now, id),
                 _ => {
-                    let data = c.data.expect("NDP results");
+                    let Some(CompletionData::Bytes(data)) = c.data else {
+                        unreachable!("NDP reads return a result payload")
+                    };
                     self.ndp_on_read_done(now, id, data);
                 }
             }
@@ -1406,7 +1409,7 @@ impl System {
         match base_drain {
             Some((stale, done)) => {
                 for (_, data) in stale {
-                    self.dev.recycle_buffer(data);
+                    self.dev.recycle_pages(data);
                 }
                 if done {
                     self.baseio_finish_failed(now, id);
@@ -1417,10 +1420,10 @@ impl System {
     }
 
     /// A late successful completion for an already-poisoned baseline op:
-    /// recycle its transfer buffer without folding anything in, and
-    /// finish the op once the last straggler drains.
-    fn baseline_absorb(&mut self, now: SimTime, id: OpId, cid: u16, data: Vec<u8>) {
-        self.dev.recycle_buffer(data);
+    /// recycle its page images without folding anything in, and finish
+    /// the op once the last straggler drains.
+    fn baseline_absorb(&mut self, now: SimTime, id: OpId, cid: u16, data: Vec<Arc<[u8]>>) {
+        self.dev.recycle_pages(data);
         let op = self.ops.get_mut(&id).expect("op exists");
         let Phase::BaseIo(io) = &mut op.phase else {
             unreachable!("poisoned straggler outside BaseIo")

@@ -54,9 +54,10 @@ fn measured_round(sys: &mut System, kind: OpKind) -> u64 {
 /// the rounds exercise the pure gather/reduce loop; with
 /// [`PageLayout::Spread`] every distinct row is a distinct flash page and
 /// the table dwarfs the page cache, so the big round drives ~512 full
-/// page-miss services (flash read buffer → FTL page image → NVMe transfer
-/// buffer). The page-buffer pools along that path must absorb all of it —
-/// before pooling, the spread case cost ~3 allocations *per page*.
+/// page-miss services (one pooled page image per read, shared by the FTL
+/// page cache and the host, plus the command's pooled page list). The
+/// pools along that path must absorb all of it — before pooling, the
+/// spread case cost ~3 allocations *per page*.
 fn assert_rounds_flat(sys: &mut System, table: recssd::TableId, rows: u64, layout: &str) {
     let small = batch(16, rows);
     let big = batch(512, rows);

@@ -50,8 +50,10 @@ pub enum FlashOp {
         /// Page to program. Pages within a block must be programmed in
         /// order, matching real NAND constraints.
         ppa: Ppa,
-        /// Bytes to write (up to one page).
-        data: Box<[u8]>,
+        /// Bytes to write (up to one page). A shared page image (a GC
+        /// relocation read, an FTL write-buffer page) is programmed as is,
+        /// and returns to the page pool once its last holder drops it.
+        data: Arc<[u8]>,
     },
     /// Erase one block (`ppa.page` must be zero).
     Erase {
@@ -108,8 +110,9 @@ pub struct FlashCompletion {
     pub kind: FlashOpKind,
     /// The page (or block head, for erases) it addressed.
     pub ppa: Ppa,
-    /// Page contents, for reads.
-    pub data: Option<Box<[u8]>>,
+    /// Page contents, for reads: a page image from the array's pool (see
+    /// [`FlashArray::recycle_page`]).
+    pub data: Option<Arc<[u8]>>,
     /// When the operation was submitted (for latency accounting).
     pub submitted_at: SimTime,
     /// An injected uncorrectable error hit this operation. The data is
@@ -239,10 +242,11 @@ struct OpState {
     retried: bool,
 }
 
-/// Largest number of recycled page buffers the array keeps. Sized to cover
+/// Largest number of recycled page images the array keeps. Sized to cover
 /// the deepest realistic read backlog (an NDP request fanning a full batch
-/// out across the channels) so steady-state reads allocate nothing.
-const PAGE_BUF_POOL_CAP: usize = 1024;
+/// out across the channels) and the page-cache eviction churn behind it,
+/// so steady-state reads allocate nothing.
+const PAGE_POOL_CAP: usize = 1024;
 
 /// The NAND flash array: geometry, timing, per-resource scheduling and page
 /// contents. See the [crate docs](crate) for the usage pattern.
@@ -255,9 +259,9 @@ pub struct FlashArray {
     block_write_ptr: HashMap<u64, u32>,
     ops: HashMap<FlashOpId, OpState>,
     next_op: u64,
-    /// Free-list of full-page read buffers (see
-    /// [`FlashArray::recycle_page_buf`]).
-    buf_pool: Vec<Box<[u8]>>,
+    /// Free-list of exclusively owned full-page images (see
+    /// [`FlashArray::recycle_page`]); completed reads fill one in place.
+    page_pool: Vec<Arc<[u8]>>,
     /// Optional fault-injection overlay (`None` = perfectly reliable).
     fault: Option<FaultPlan>,
     stats: FlashStats,
@@ -276,13 +280,13 @@ impl FlashArray {
             // Pre-sized for the deepest realistic in-flight set — an
             // NDP request fans a full batch's page reads out at once,
             // so hundreds of ops can be queued on the resources (cf.
-            // `PAGE_BUF_POOL_CAP`) — so the hot submit/retire churn
+            // `PAGE_POOL_CAP`) — so the hot submit/retire churn
             // never resizes the table: with monotonically increasing
             // op ids, growth-by-tombstone would otherwise trickle
             // allocations into steady state.
-            ops: HashMap::with_capacity(PAGE_BUF_POOL_CAP.max(n_dies + 8 * n_channels)),
+            ops: HashMap::with_capacity(PAGE_POOL_CAP.max(n_dies + 8 * n_channels)),
             next_op: 0,
-            buf_pool: Vec::new(),
+            page_pool: Vec::new(),
             fault: None,
             stats: FlashStats {
                 channel_busy: vec![SimDuration::ZERO; n_channels],
@@ -395,25 +399,47 @@ impl FlashArray {
         self.store.read_into(idx, out);
     }
 
-    /// Returns a consumed full-page read buffer to the free-list; the next
-    /// completed read fills it instead of allocating. Wrong-sized buffers
-    /// are dropped (the pool only serves whole pages).
-    pub fn recycle_page_buf(&mut self, buf: Box<[u8]>) {
-        if buf.len() == self.config.geometry.page_bytes && self.buf_pool.len() < PAGE_BUF_POOL_CAP {
-            self.buf_pool.push(buf);
+    /// Offers a page image back to the pool once a holder is done with it.
+    /// The image is kept only when the caller held the last reference: a
+    /// page still shared with a cache or a host is never overwritten,
+    /// because the next read fills a pooled image in place. Wrong-sized
+    /// images are dropped (the pool only serves whole pages).
+    pub fn recycle_page(&mut self, page: Arc<[u8]>) {
+        if Arc::strong_count(&page) == 1
+            && page.len() == self.config.geometry.page_bytes
+            && self.page_pool.len() < PAGE_POOL_CAP
+        {
+            self.page_pool.push(page);
         }
     }
 
-    /// A page-sized buffer from the pool (or a fresh allocation) holding
-    /// the contents of linear page `idx`.
-    fn read_page_pooled(&mut self, idx: u64) -> Box<[u8]> {
-        match self.buf_pool.pop() {
-            Some(mut buf) => {
-                self.store.read_into(idx, &mut buf);
-                buf
-            }
-            None => self.store.read(idx, self.config.geometry.page_bytes),
-        }
+    /// An exclusively owned page image from the pool (or a fresh one)
+    /// holding `data` followed by zeros up to the page size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is longer than a page.
+    pub fn page_image(&mut self, data: &[u8]) -> Arc<[u8]> {
+        let mut page = self.take_page();
+        let buf = Arc::get_mut(&mut page).expect("pooled pages are exclusively owned");
+        buf[..data.len()].copy_from_slice(data);
+        buf[data.len()..].fill(0);
+        page
+    }
+
+    /// An exclusively owned page image with unspecified contents.
+    fn take_page(&mut self) -> Arc<[u8]> {
+        self.page_pool
+            .pop()
+            .unwrap_or_else(|| vec![0u8; self.config.geometry.page_bytes].into())
+    }
+
+    /// A pooled page image holding the contents of linear page `idx`.
+    fn read_page_pooled(&mut self, idx: u64) -> Arc<[u8]> {
+        let mut page = self.take_page();
+        let buf = Arc::get_mut(&mut page).expect("pooled pages are exclusively owned");
+        self.store.read_into(idx, buf);
+        page
     }
 
     /// The next page expected by the sequential-program rule for `block`
@@ -619,9 +645,9 @@ impl FlashArray {
             FlashOp::Program { ppa, data } => {
                 self.stats.programs.inc();
                 self.store.write(g.linear_index(ppa), &data);
-                // GC relocations program whole pages; their buffers go
-                // straight back to the read pool.
-                self.recycle_page_buf(data);
+                // A GC relocation's page image was only held by this op,
+                // so it goes straight back to the pool.
+                self.recycle_page(data);
                 None
             }
             FlashOp::Erase { ppa } => {
@@ -722,7 +748,7 @@ mod tests {
             &mut q,
             FlashOp::Program {
                 ppa,
-                data: vec![1, 2, 3, 4].into_boxed_slice(),
+                data: vec![1, 2, 3, 4].into(),
             },
         );
         drain(&mut flash, &mut q);
@@ -862,7 +888,7 @@ mod tests {
                 q.now(),
                 FlashOp::Program {
                     ppa,
-                    data: Box::new([1]),
+                    data: Arc::new([1u8]),
                 },
                 &mut |d, e| q.push_after(d, e),
             )
@@ -891,7 +917,7 @@ mod tests {
             &mut q,
             FlashOp::Program {
                 ppa,
-                data: Box::new([1]),
+                data: Arc::new([1u8]),
             },
         );
         drain(&mut flash, &mut q);
@@ -901,7 +927,7 @@ mod tests {
                 q.now(),
                 FlashOp::Program {
                     ppa,
-                    data: Box::new([2]),
+                    data: Arc::new([2u8]),
                 },
                 &mut |d, e| q.push_after(d, e),
             )
@@ -916,7 +942,7 @@ mod tests {
             &mut q,
             FlashOp::Program {
                 ppa,
-                data: Box::new([2]),
+                data: Arc::new([2u8]),
             },
         );
         drain(&mut flash, &mut q);
@@ -938,7 +964,7 @@ mod tests {
                         block: 1,
                         page,
                     },
-                    data: Box::new([page as u8 + 1]),
+                    data: Arc::new([page as u8 + 1]),
                 },
             );
         }
@@ -1012,7 +1038,7 @@ mod tests {
                         block: 0,
                         page: 0,
                     },
-                    data: vec![0u8; 17 * 1024].into_boxed_slice(),
+                    data: vec![0u8; 17 * 1024].into(),
                 },
                 &mut |d, e| q.push_after(d, e),
             )
@@ -1187,7 +1213,7 @@ mod tests {
                     block: 0,
                     page: 0,
                 },
-                data: Box::new([1]),
+                data: Arc::new([1u8]),
             },
         );
         submit(

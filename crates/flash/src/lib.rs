@@ -34,7 +34,7 @@
 //! flash
 //!     .submit(
 //!         queue.now(),
-//!         FlashOp::Program { ppa, data: vec![7u8; 64].into_boxed_slice() },
+//!         FlashOp::Program { ppa, data: vec![7u8; 64].into() },
 //!         &mut |delay, ev| queue.push_after(delay, ev),
 //!     )
 //!     .unwrap();

@@ -191,10 +191,6 @@ struct GcJob {
     writes_left: usize,
 }
 
-/// Largest number of recycled `Arc<[u8]>` page images the FTL keeps.
-/// Covers the page-cache eviction churn of a deep read backlog.
-const ARC_POOL_CAP: usize = 1024;
-
 /// The greedy FTL modelled on the Cosmos+ OpenSSD firmware. See the
 /// [crate docs](crate) for the architecture overview and the event-driven
 /// usage pattern.
@@ -213,10 +209,6 @@ pub struct GreedyFtl {
     gc_jobs: FxHashMap<usize, GcJob>,
     reserved: std::collections::HashSet<u64>,
     next_req: u64,
-    /// Free-list of exclusively-owned page images, refilled by cache
-    /// eviction; completed flash reads copy into one of these instead of
-    /// allocating a fresh `Arc`.
-    arc_pool: Vec<Arc<[u8]>>,
     stats: FtlStats,
     /// Sim-time span tracer (disabled by default: every emission is a
     /// no-op `None` check until [`GreedyFtl::set_tracer`] installs a sink).
@@ -251,7 +243,6 @@ impl GreedyFtl {
             gc_jobs: FxHashMap::default(),
             reserved: std::collections::HashSet::new(),
             next_req: 0,
-            arc_pool: Vec::new(),
             stats: FtlStats::default(),
             tracer: Tracer::disabled(),
             config,
@@ -260,45 +251,18 @@ impl GreedyFtl {
 
     /// Consumer-side return path for page images handed out via
     /// [`FtlOutcome::ReadDone`] / [`ReadStarted::CacheHit`]: once a reader
-    /// has folded a page in, it offers the `Arc` back. The image is pooled
-    /// only when this was the last reference (it may still sit in the page
-    /// cache, in which case this is a no-op).
-    pub fn recycle_page_image(&mut self, arc: Arc<[u8]>) {
-        self.recycle_arc(arc);
-    }
-
-    /// Keeps `arc` for reuse if this FTL is its sole owner (typically a
-    /// page image just evicted from the page cache whose readers have all
-    /// dropped their clones).
-    fn recycle_arc(&mut self, arc: Arc<[u8]>) {
-        if Arc::strong_count(&arc) == 1
-            && arc.len() == self.page_bytes()
-            && self.arc_pool.len() < ARC_POOL_CAP
-        {
-            self.arc_pool.push(arc);
-        }
-    }
-
-    /// Wraps a completed flash read in an `Arc` page image, reusing a
-    /// pooled one when available (and returning the flash buffer to the
-    /// array's pool) — the steady-state read path allocates nothing here.
-    fn pooled_arc_from(&mut self, data: Box<[u8]>) -> Arc<[u8]> {
-        match self.arc_pool.pop() {
-            Some(mut arc) => {
-                Arc::get_mut(&mut arc)
-                    .expect("pooled arcs are exclusively owned")
-                    .copy_from_slice(&data);
-                self.flash.recycle_page_buf(data);
-                arc
-            }
-            None => data.into(),
-        }
+    /// has folded a page in, it offers the `Arc` back to the flash array's
+    /// page pool. The image is pooled only when this was the last
+    /// reference (it may still sit in the page cache, in which case this
+    /// is a no-op and the cache's eviction recycles it later).
+    pub fn recycle_page_image(&mut self, page: Arc<[u8]>) {
+        self.flash.recycle_page(page);
     }
 
     /// Inserts into the page cache, recycling whatever the insert evicts.
     fn cache_insert(&mut self, lpn: u64, data: Arc<[u8]>) {
         if let Some((_, old)) = self.cache.insert(lpn, data) {
-            self.recycle_arc(old);
+            self.flash.recycle_page(old);
         }
     }
 
@@ -363,8 +327,8 @@ impl GreedyFtl {
             .filter(|k| range.contains(k))
             .collect();
         for lpn in stale {
-            if let Some(arc) = self.cache.remove(&lpn) {
-                self.recycle_arc(arc);
+            if let Some(page) = self.cache.remove(&lpn) {
+                self.flash.recycle_page(page);
             }
         }
     }
@@ -588,34 +552,18 @@ impl GreedyFtl {
         self.stats.host_writes.inc();
         let ppa = self.alloc.alloc_page().ok_or(FtlError::DeviceFull)?;
         self.map.map(lpn, ppa, &g);
-        // Keep a full-page image resident until the program completes.
-        let arc: Arc<[u8]> = match self.arc_pool.pop() {
-            Some(mut arc) => {
-                let page = Arc::get_mut(&mut arc).expect("pooled arcs are exclusively owned");
-                page.fill(0);
-                page[..data.len()].copy_from_slice(&data);
-                arc
-            }
-            None => {
-                let mut page = vec![0u8; g.page_bytes];
-                page[..data.len()].copy_from_slice(&data);
-                page.into()
-            }
-        };
-        if let Some(old) = self.write_buffer.insert(lpn.0, arc.clone()) {
-            self.recycle_arc(old);
+        // Keep a full-page image resident until the program completes; the
+        // program op shares the same image.
+        let page = self.flash.page_image(&data);
+        if let Some(old) = self.write_buffer.insert(lpn.0, page.clone()) {
+            self.flash.recycle_page(old);
         }
-        self.cache_insert(lpn.0, arc);
+        self.cache_insert(lpn.0, page.clone());
         let op = self
             .flash
-            .submit(
-                now,
-                FlashOp::Program {
-                    ppa,
-                    data: data.into_boxed_slice(),
-                },
-                &mut |d, fe| sched(d, FtlEvent::Flash(fe)),
-            )
+            .submit(now, FlashOp::Program { ppa, data: page }, &mut |d, fe| {
+                sched(d, FtlEvent::Flash(fe))
+            })
             .expect("allocator and flash write pointers must agree");
         let req = ReqId(self.next_req);
         self.next_req += 1;
@@ -778,17 +726,16 @@ impl GreedyFtl {
                         tr.span_arg("flash:read", c.submitted_at, now, SpanId::NONE, key, val);
                     tr.span("flash:xfer", now - c.last_phase, now, read);
                 }
+                let data = c.data.expect("read completion carries data");
                 if c.failed {
                     // Uncorrectable media error: the bytes are untrusted,
-                    // so nothing is cached and the buffer goes straight
+                    // so nothing is cached and the image goes straight
                     // back to the flash pool. The owner gets a typed
                     // failure instead of data.
-                    self.flash
-                        .recycle_page_buf(c.data.expect("read completion carries data"));
+                    self.flash.recycle_page(data);
                     out.push(FtlOutcome::ReadFailed { req, lpn });
                     return;
                 }
-                let data = self.pooled_arc_from(c.data.expect("read completion carries data"));
                 // Cache only if the mapping still points at what we read —
                 // a concurrent overwrite must not be shadowed by stale data.
                 if self.map.lookup(lpn, &g) == Some(ppa) && !self.write_buffer.contains_key(&lpn.0)
@@ -798,8 +745,8 @@ impl GreedyFtl {
                 out.push(FtlOutcome::ReadDone { req, lpn, data });
             }
             Pending::HostWrite { req, lpn } => {
-                if let Some(arc) = self.write_buffer.remove(&lpn.0) {
-                    self.recycle_arc(arc);
+                if let Some(page) = self.write_buffer.remove(&lpn.0) {
+                    self.flash.recycle_page(page);
                 }
                 out.push(FtlOutcome::WriteDone { req, lpn });
             }

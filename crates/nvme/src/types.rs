@@ -1,6 +1,7 @@
 //! NVMe command and completion structures.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// NVMe I/O opcode (the subset the reproduction needs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,6 +143,18 @@ impl NvmeCommand {
     }
 }
 
+/// Data a read-like command returns to the host.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CompletionData {
+    /// A conventional read: one page image per logical block, in block
+    /// order. The images are shared with the device (its page cache may
+    /// hold the same `Arc`), so the host reads them in place and hands
+    /// them back instead of copying.
+    Pages(Vec<Arc<[u8]>>),
+    /// A device-built payload (NDP result blocks).
+    Bytes(Vec<u8>),
+}
+
 /// An NVMe completion-queue entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NvmeCompletion {
@@ -150,16 +163,25 @@ pub struct NvmeCompletion {
     /// Outcome status.
     pub status: NvmeStatus,
     /// Data returned to the host (for read-like commands).
-    pub data: Option<Vec<u8>>,
+    pub data: Option<CompletionData>,
 }
 
 impl NvmeCompletion {
-    /// A successful completion carrying optional data.
+    /// A successful completion carrying an optional device-built payload.
     pub fn success(cid: u16, data: Option<Vec<u8>>) -> Self {
         NvmeCompletion {
             cid,
             status: NvmeStatus::Success,
-            data,
+            data: data.map(CompletionData::Bytes),
+        }
+    }
+
+    /// A successful conventional read carrying one page image per block.
+    pub fn read_pages(cid: u16, pages: Vec<Arc<[u8]>>) -> Self {
+        NvmeCompletion {
+            cid,
+            status: NvmeStatus::Success,
+            data: Some(CompletionData::Pages(pages)),
         }
     }
 
@@ -237,7 +259,11 @@ mod tests {
     fn completion_helpers() {
         let ok = NvmeCompletion::success(4, Some(vec![9]));
         assert_eq!(ok.status, NvmeStatus::Success);
-        assert_eq!(ok.data.as_deref(), Some(&[9u8][..]));
+        assert_eq!(ok.data, Some(CompletionData::Bytes(vec![9])));
+        let pages: Vec<Arc<[u8]>> = vec![Arc::from([1u8, 2]), Arc::from([3u8])];
+        let read = NvmeCompletion::read_pages(5, pages.clone());
+        assert_eq!(read.status, NvmeStatus::Success);
+        assert_eq!(read.data, Some(CompletionData::Pages(pages)));
         let err = NvmeCompletion::error(4, NvmeStatus::LbaOutOfRange);
         assert_eq!(err.status.to_string(), "LBA out of range");
         assert!(err.data.is_none());

@@ -90,35 +90,20 @@ impl TablePlacement {
     /// were *actually accessed* during profiling (pinning never-accessed
     /// rows would spend DRAM on rows the profile says are dead).
     pub fn build(heat: &TableHeat, policy: &PlacementPolicy) -> Self {
-        let rows = heat.rows();
-        let budget = policy.budget_for(rows);
-        let ranking = heat.ranking();
-        let mut heat_rank = vec![0u32; rows as usize];
-        for (i, &r) in ranking.iter().enumerate() {
-            heat_rank[r as usize] = i as u32;
-        }
+        TablePlacement::build_ranked(heat, &heat.ranking(), policy)
+    }
+
+    /// [`TablePlacement::build`] from `ranking`, which must be
+    /// `heat.ranking()` — for callers that have already ranked the table
+    /// (a global budget split ranks every table first).
+    pub fn build_ranked(heat: &TableHeat, ranking: &[u64], policy: &PlacementPolicy) -> Self {
         let hot_rows: Vec<u64> = ranking
-            .into_iter()
-            .take(budget)
+            .iter()
+            .copied()
+            .take(policy.budget_for(heat.rows()))
             .filter(|&r| heat.count(r) > 0)
             .collect();
-        // One selection is the source of truth: the membership partition
-        // is built from the very rows the tier will hold.
-        let partition =
-            StaticPartition::from_hot_ids(hot_rows.iter().copied(), heat.accessed_rows());
-        let hot_mass: u64 = hot_rows.iter().map(|&r| heat.count(r)).sum();
-        let expected_hit_rate = if heat.total() == 0 {
-            0.0
-        } else {
-            hot_mass as f64 / heat.total() as f64
-        };
-        TablePlacement {
-            rows,
-            hot_rows,
-            partition,
-            heat_rank,
-            expected_hit_rate,
-        }
+        TablePlacement::assemble(heat, ranking, hot_rows)
     }
 
     /// Builds the placement of one table from an *explicit* hot set (in
@@ -126,22 +111,29 @@ impl TablePlacement {
     /// The online re-planning loop uses this when the hot set is not a
     /// pure top-k of the profile — e.g. keeping incumbent rows that the
     /// thin online sample merely failed to observe. Heat ranks (the
-    /// packing key) still come from `heat`.
+    /// packing key) still come from `ranking`, which must be
+    /// `heat.ranking()`.
     ///
     /// # Panics
     ///
     /// Panics if a hot row is out of range.
-    pub fn build_with_hot_rows(heat: &TableHeat, hot_rows: Vec<u64>) -> Self {
+    pub fn build_with_hot_rows(heat: &TableHeat, ranking: &[u64], hot_rows: Vec<u64>) -> Self {
         let rows = heat.rows();
         assert!(
             hot_rows.iter().all(|&r| r < rows),
             "hot row out of range for a {rows}-row table"
         );
-        let ranking = heat.ranking();
+        TablePlacement::assemble(heat, ranking, hot_rows)
+    }
+
+    fn assemble(heat: &TableHeat, ranking: &[u64], hot_rows: Vec<u64>) -> Self {
+        let rows = heat.rows();
         let mut heat_rank = vec![0u32; rows as usize];
         for (i, &r) in ranking.iter().enumerate() {
             heat_rank[r as usize] = i as u32;
         }
+        // One selection is the source of truth: the membership partition
+        // is built from the very rows the tier will hold.
         let partition =
             StaticPartition::from_hot_ids(hot_rows.iter().copied(), heat.accessed_rows());
         let hot_mass: u64 = hot_rows.iter().map(|&r| heat.count(r)).sum();
@@ -260,13 +252,19 @@ impl PlacementPlan {
         budget_rows: usize,
         version: PlanVersion,
     ) -> Self {
-        let budgets = allocate_global_budget(profiler, budget_rows);
+        let rankings = profiler.rankings();
+        let budgets = allocate_global_budget(profiler, &rankings, budget_rows);
         PlacementPlan {
             tables: budgets
                 .into_iter()
+                .zip(&rankings)
                 .enumerate()
-                .map(|(t, k)| {
-                    TablePlacement::build(profiler.heat(t), &PlacementPolicy::hot_rows(k))
+                .map(|(t, (k, ranking))| {
+                    TablePlacement::build_ranked(
+                        profiler.heat(t),
+                        ranking,
+                        &PlacementPolicy::hot_rows(k),
+                    )
                 })
                 .collect(),
             version,
@@ -316,15 +314,20 @@ impl PlacementPlan {
 /// rows are never granted. Ties break toward the lower table index, then
 /// the smaller row id, so the split is deterministic.
 ///
+/// `rankings` must be [`FreqProfiler::rankings`] of `profiler`; callers
+/// pass it in so the per-table placements can reuse it.
+///
 /// Returns the per-table row budgets (in profile order); their sum is at
 /// most `budget_rows`.
-pub fn allocate_global_budget(profiler: &FreqProfiler, budget_rows: usize) -> Vec<usize> {
+pub fn allocate_global_budget(
+    profiler: &FreqProfiler,
+    rankings: &[Vec<u64>],
+    budget_rows: usize,
+) -> Vec<usize> {
     let mut budgets = vec![0usize; profiler.tables()];
-    // One ranked row list per table, consumed head-first through a max-heap
-    // keyed on the next row's count: a k-way merge of the heat rankings.
-    let rankings: Vec<Vec<u64>> = (0..profiler.tables())
-        .map(|t| profiler.heat(t).ranking())
-        .collect();
+    // Each table's ranked row list is consumed head-first through a
+    // max-heap keyed on the next row's count: a k-way merge of the heat
+    // rankings.
     let mut heap: BinaryHeap<(u64, std::cmp::Reverse<usize>, std::cmp::Reverse<u64>, usize)> =
         BinaryHeap::new();
     let push = |heap: &mut BinaryHeap<_>, t: usize, pos: usize| {
@@ -517,7 +520,7 @@ mod tests {
             b,
             std::iter::repeat_n(5, 10).chain(std::iter::repeat_n(6, 4)),
         ); // 10, 4
-        let budgets = allocate_global_budget(&p, 3);
+        let budgets = allocate_global_budget(&p, &p.rankings(), 3);
         assert_eq!(budgets, vec![1, 2]); // rows 5 (10), 6 (4), 1 (3)
         let plan = PlacementPlan::build_global(&p, 3);
         assert_eq!(plan.table(a).hot_rows(), &[1]);
@@ -535,7 +538,7 @@ mod tests {
         let a = p.add_table(100);
         let _b = p.add_table(100);
         p.profile_stream(a, [7, 7, 9]);
-        let budgets = allocate_global_budget(&p, 50);
+        let budgets = allocate_global_budget(&p, &p.rankings(), 50);
         assert_eq!(budgets, vec![2, 0], "only the two accessed rows granted");
     }
 

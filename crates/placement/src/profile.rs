@@ -153,6 +153,11 @@ impl FreqProfiler {
         }
     }
 
+    /// Every table's [`TableHeat::ranking`], in profile order.
+    pub fn rankings(&self) -> Vec<Vec<u64>> {
+        self.tables.iter().map(TableHeat::ranking).collect()
+    }
+
     /// The accumulated heat of `table`.
     ///
     /// # Panics
@@ -198,15 +203,22 @@ impl TableHeat {
     /// All rows ordered by descending access count; ties break toward the
     /// smaller row id so rankings are deterministic.
     pub fn ranking(&self) -> Vec<u64> {
-        let mut rows: Vec<u64> = (0..self.rows()).collect();
-        self.rank_in_place(&mut rows);
+        // Never-accessed rows all tie at zero, so in ascending id order
+        // they are already ranked: only the accessed rows need sorting.
+        let mut rows: Vec<u64> = Vec::with_capacity(self.counts.len());
+        rows.extend((0..self.rows()).filter(|&r| self.counts[r as usize] > 0));
+        let accessed = rows.len();
+        rows.extend((0..self.rows()).filter(|&r| self.counts[r as usize] == 0));
+        self.rank_in_place(&mut rows[..accessed]);
         rows
     }
 
     /// Orders `rows` (arbitrary subset, e.g. one shard's range) by
-    /// descending heat in place, ties toward smaller row ids.
+    /// descending heat in place, ties toward smaller row ids. The key is
+    /// a total order over distinct rows, so an unstable sort gives the
+    /// same ranking as a stable one.
     pub fn rank_in_place(&self, rows: &mut [u64]) {
-        rows.sort_by(|&a, &b| {
+        rows.sort_unstable_by(|&a, &b| {
             self.counts[b as usize]
                 .cmp(&self.counts[a as usize])
                 .then(a.cmp(&b))
@@ -252,6 +264,25 @@ mod tests {
         let r = p.heat(t).ranking();
         // 2 and 4 tie at count 2 → smaller id first; 1 and 3 tie at 0.
         assert_eq!(r, vec![2, 4, 0, 1, 3]);
+    }
+
+    #[test]
+    fn ranking_matches_a_stable_sort_of_every_row() {
+        let mut p = FreqProfiler::new();
+        let t = p.add_table(4096);
+        let mut zipf = recssd_trace::ZipfTrace::new(4096, 1.2, 5);
+        for _ in 0..3_000 {
+            let id = zipf.next_id();
+            p.observe(t, id);
+        }
+        let h = p.heat(t);
+        assert!(
+            h.accessed_rows() < 4096,
+            "the profile must leave rows unaccessed"
+        );
+        let mut want: Vec<u64> = (0..4096).collect();
+        want.sort_by_key(|&r| std::cmp::Reverse(h.count(r)));
+        assert_eq!(h.ranking(), want);
     }
 
     #[test]

@@ -1810,7 +1810,8 @@ impl ServingRuntime {
         ad.ewma.merge(&ad.fresh);
         ad.fresh.decay(0.0);
 
-        let budgets = allocate_global_budget(&ad.ewma, ad.policy.budget_rows);
+        let rankings = ad.ewma.rankings();
+        let budgets = allocate_global_budget(&ad.ewma, &rankings, ad.policy.budget_rows);
         for (prof_ix, &t_idx) in ad.tables.iter().enumerate() {
             let heat = ad.ewma.heat(prof_ix);
             if heat.total() == 0 {
@@ -1845,7 +1846,7 @@ impl ServingRuntime {
             // have absorbed than the one serving right now.
             let gain = hit_mass(heat, &hot) - hit_mass(heat, &active.hot_rows);
             if gain >= ad.policy.min_hit_gain {
-                let placement = TablePlacement::build_with_hot_rows(heat, hot);
+                let placement = TablePlacement::build_with_hot_rows(heat, &rankings[prof_ix], hot);
                 let _ = self.refresh_placement(ServedTableId(t_idx), &placement);
             }
         }

@@ -1,5 +1,7 @@
 //! The device core: command fetch, firmware charging, data paths.
 
+use std::sync::Arc;
+
 use recssd_flash::PageOracle;
 use recssd_ftl::{FtlEvent, FtlOutcome, FwTag, GreedyFtl, Lpn, ReadStarted, ReqId};
 use recssd_nvme::{
@@ -52,14 +54,18 @@ impl SsdStats {
 struct CmdState {
     cmd: NvmeCommand,
     pages_left: u32,
-    data: Vec<u8>,
+    /// Reads: one page image per block, filled in as the FTL delivers
+    /// them (never-written blocks keep the shared zero page). The images
+    /// travel to the host as they are; nothing is copied.
+    pages: Vec<Arc<[u8]>>,
     /// One of the command's page reads hit an uncorrectable media error;
     /// the command completes with [`NvmeStatus::MediaError`] once every
     /// outstanding page drains.
     failed: bool,
 }
 
-/// Largest number of recycled host-transfer buffers the device keeps.
+/// Largest number of recycled host-transfer buffers (and, separately,
+/// read page lists) the device keeps.
 const HOST_BUF_POOL_CAP: usize = 1024;
 
 /// An in-flight tracking map pre-sized so steady-state churn never
@@ -69,29 +75,29 @@ fn presized_map<K, V>() -> FxHashMap<K, V> {
     FxHashMap::with_capacity_and_hasher(256, Default::default())
 }
 
-/// Pool insert shared by [`SsdDevice::recycle_buffer`] and
-/// [`crate::DeviceCtx::recycle_buffer`]: buffers are pooled by
-/// *capacity* (rounded to a power of two at allocation), so one
-/// recycled buffer serves every transfer length at or below it.
-pub(crate) fn pool_recycle(pool: &mut Vec<Vec<u8>>, buf: Vec<u8>) {
+/// Pool insert shared by [`SsdDevice::recycle_buffer`],
+/// [`SsdDevice::recycle_pages`] and [`crate::DeviceCtx::recycle_buffer`]:
+/// buffers are pooled by *capacity* (rounded to a power of two at
+/// allocation), so one recycled buffer serves every length at or below
+/// it.
+pub(crate) fn pool_recycle<T>(pool: &mut Vec<Vec<T>>, buf: Vec<T>) {
     if buf.capacity() > 0 && pool.len() < HOST_BUF_POOL_CAP {
         pool.push(buf);
     }
 }
 
-/// Zeroed pool take, used where stale contents could leak through (the
-/// conventional read path leaves unmapped pages untouched, relying on a
-/// zeroed buffer).
-pub(crate) fn pool_take(pool: &mut Vec<Vec<u8>>, len: usize) -> Vec<u8> {
-    let mut buf = pool_take_raw(pool, len);
-    buf.fill(0);
+/// Exact-`len` buffer with **unspecified contents** — for callers that
+/// overwrite every byte themselves (payload/result encoders), so no
+/// memset is paid.
+pub(crate) fn pool_take_raw(pool: &mut Vec<Vec<u8>>, len: usize) -> Vec<u8> {
+    let mut buf = pool_take_fit(pool, len);
+    buf.resize(len, 0);
     buf
 }
 
-/// Exact-`len` buffer with **unspecified contents** — for callers that
-/// overwrite every byte themselves (payload/result encoders), skipping
-/// the redundant memset a zeroed take would pay.
-pub(crate) fn pool_take_raw(pool: &mut Vec<Vec<u8>>, len: usize) -> Vec<u8> {
+/// A pooled `Vec` with capacity for at least `len` elements (contents
+/// unspecified), or a fresh one.
+fn pool_take_fit<T>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
     // Best fit by capacity, not exact length: exact size classes
     // fragment the pool (a 16-page transfer cannot reuse a 15-page
     // buffer), which shows up as a steady trickle of allocations every
@@ -107,16 +113,8 @@ pub(crate) fn pool_take_raw(pool: &mut Vec<Vec<u8>>, len: usize) -> Vec<u8> {
         }
     }
     match best {
-        Some((i, _)) => {
-            let mut buf = pool.swap_remove(i);
-            buf.resize(len, 0);
-            buf
-        }
-        None => {
-            let mut buf = Vec::with_capacity(len.next_power_of_two());
-            buf.resize(len, 0);
-            buf
-        }
+        Some((i, _)) => pool.swap_remove(i),
+        None => Vec::with_capacity(len.next_power_of_two()),
     }
 }
 
@@ -139,6 +137,12 @@ pub struct SsdDevice<X: NdpEngine = NoNdp> {
     /// Free-list of recycled command-data buffers (see
     /// [`SsdDevice::recycle_buffer`]).
     host_buf_pool: Vec<Vec<u8>>,
+    /// Free-list of emptied read page lists (see
+    /// [`SsdDevice::recycle_pages`]).
+    page_list_pool: Vec<Vec<Arc<[u8]>>>,
+    /// The image every never-written block reads as. The device keeps a
+    /// reference, so it never enters the page pool and is never written.
+    zero_page: Arc<[u8]>,
     /// Reused scratch for FTL outcomes drained per event.
     ftl_scratch: Vec<FtlOutcome>,
     stats: SsdStats,
@@ -181,20 +185,33 @@ impl<X: NdpEngine> SsdDevice<X> {
             dma_in: presized_map(),
             next_tag: 0,
             host_buf_pool: Vec::new(),
+            page_list_pool: Vec::new(),
+            zero_page: vec![0u8; config.block_bytes()].into(),
             ftl_scratch: Vec::new(),
             stats: SsdStats::default(),
             config,
         }
     }
 
-    /// Returns a consumed completion-data buffer to the device's free-list
-    /// so the next read command fills it instead of allocating — the host
-    /// runtime hands back every page/result buffer it has finished
-    /// accumulating. Buffers are pooled by capacity (best fit, see
+    /// Returns a consumed payload buffer (an NDP result block) to the
+    /// device's free-list so the next payload fills it instead of
+    /// allocating. Buffers are pooled by capacity (best fit, see
     /// [`pool_take_raw`]), so one recycled buffer serves every transfer
     /// length at or below its capacity.
     pub fn recycle_buffer(&mut self, buf: Vec<u8>) {
         pool_recycle(&mut self.host_buf_pool, buf);
+    }
+
+    /// Hands back the page images of a conventional read once the host
+    /// has folded them in: each image returns to the flash page pool when
+    /// this was its last reference (one still held by the page cache
+    /// stays untouched), and the emptied list serves the next read
+    /// command.
+    pub fn recycle_pages(&mut self, mut pages: Vec<Arc<[u8]>>) {
+        for page in pages.drain(..) {
+            self.ftl.recycle_page_image(page);
+        }
+        pool_recycle(&mut self.page_list_pool, pages);
     }
 
     /// A buffer of exactly `len` bytes with **unspecified contents**
@@ -204,12 +221,6 @@ impl<X: NdpEngine> SsdDevice<X> {
     /// completion data without a redundant memset.
     pub fn take_host_buffer(&mut self, len: usize) -> Vec<u8> {
         pool_take_raw(&mut self.host_buf_pool, len)
-    }
-
-    /// A zeroed buffer of exactly `len` bytes, reusing a same-sized pooled
-    /// buffer when one is available.
-    fn take_buffer(&mut self, len: usize) -> Vec<u8> {
-        pool_take(&mut self.host_buf_pool, len)
     }
 
     /// The device configuration.
@@ -342,14 +353,14 @@ impl<X: NdpEngine> SsdDevice<X> {
                     self.stats.read_commands.inc();
                     self.stats.blocks_read.add(cmd.nlb as u64);
                     let nlb = cmd.nlb;
-                    let buf_len = nlb as usize * self.config.block_bytes();
-                    let data = self.take_buffer(buf_len);
+                    let mut pages = pool_take_fit(&mut self.page_list_pool, nlb as usize);
+                    pages.resize(nlb as usize, self.zero_page.clone());
                     self.cmds.insert(
                         (qid, cid),
                         CmdState {
                             cmd,
                             pages_left: nlb,
-                            data,
+                            pages,
                             failed: false,
                         },
                     );
@@ -367,7 +378,7 @@ impl<X: NdpEngine> SsdDevice<X> {
                         CmdState {
                             cmd,
                             pages_left: 0,
-                            data: Vec::new(),
+                            pages: Vec::new(),
                             failed: false,
                         },
                     );
@@ -426,14 +437,8 @@ impl<X: NdpEngine> SsdDevice<X> {
             }
             FtlOutcome::ReadDone { req, data, .. } if self.read_reqs.contains_key(&req) => {
                 let (qid, cid, page_idx) = self.read_reqs.remove(&req).expect("checked above");
-                let page_bytes = self.config.block_bytes();
                 let st = self.cmds.get_mut(&(qid, cid)).expect("command state");
-                if !st.failed {
-                    let off = page_idx as usize * page_bytes;
-                    st.data[off..off + page_bytes].copy_from_slice(&data);
-                }
-                // This was the page image's last reader; hand it back.
-                self.ftl.recycle_page_image(data);
+                st.pages[page_idx as usize] = data;
                 st.pages_left -= 1;
                 if st.pages_left == 0 {
                     if st.failed {
@@ -495,32 +500,30 @@ impl<X: NdpEngine> SsdDevice<X> {
         let st = self.cmds.get(&(qid, cid)).expect("command state");
         match st.cmd.opcode {
             NvmeOpcode::Read => {
+                let Self {
+                    ftl,
+                    cmds,
+                    read_reqs,
+                    ..
+                } = self;
+                let st = cmds.get_mut(&(qid, cid)).expect("command state");
                 let slba = st.cmd.slba;
-                let nlb = st.cmd.nlb;
-                let page_bytes = self.config.block_bytes();
-                let mut immediate = Vec::new();
-                for i in 0..nlb {
-                    let started = self
-                        .ftl
+                for i in 0..st.cmd.nlb {
+                    let started = ftl
                         .read_page(now, Lpn(slba + i as u64), &mut |d, e| {
                             sched(d, SsdEvent::Ftl(e))
                         })
                         .expect("validated range");
                     match started {
-                        ReadStarted::CacheHit(data) => immediate.push((i, Some(data))),
-                        ReadStarted::Unmapped => immediate.push((i, None)),
+                        ReadStarted::CacheHit(data) => {
+                            st.pages[i as usize] = data;
+                            st.pages_left -= 1;
+                        }
+                        ReadStarted::Unmapped => st.pages_left -= 1,
                         ReadStarted::Pending(req) => {
-                            self.read_reqs.insert(req, (qid, cid, i));
+                            read_reqs.insert(req, (qid, cid, i));
                         }
                     }
-                }
-                let st = self.cmds.get_mut(&(qid, cid)).expect("command state");
-                for (i, data) in immediate {
-                    if let Some(data) = data {
-                        let off = i as usize * page_bytes;
-                        st.data[off..off + page_bytes].copy_from_slice(&data);
-                    }
-                    st.pages_left -= 1;
                 }
                 if st.pages_left == 0 {
                     self.start_read_dma(now, qid, cid, sched);
@@ -552,11 +555,11 @@ impl<X: NdpEngine> SsdDevice<X> {
     }
 
     /// Completes a conventional read whose media failed: no data crosses
-    /// PCIe, the transfer buffer returns to the pool and the host sees a
-    /// typed media error.
+    /// PCIe, the pages already delivered go back to the pool and the host
+    /// sees a typed media error.
     fn fail_read_cmd(&mut self, qid: u16, cid: u16) {
         let st = self.cmds.remove(&(qid, cid)).expect("command state");
-        pool_recycle(&mut self.host_buf_pool, st.data);
+        self.recycle_pages(st.pages);
         self.queues[qid as usize].complete(NvmeCompletion::error(cid, NvmeStatus::MediaError));
     }
 
@@ -567,7 +570,7 @@ impl<X: NdpEngine> SsdDevice<X> {
         cid: u16,
         sched: &mut dyn FnMut(SimDuration, SsdEvent),
     ) {
-        let bytes = self.cmds[&(qid, cid)].data.len();
+        let bytes = self.cmds[&(qid, cid)].cmd.nlb as usize * self.config.block_bytes();
         let xfer = self
             .pcie
             .request(now, bytes, XferDirection::DeviceToHost, &mut |d, e| {
@@ -584,7 +587,7 @@ impl<X: NdpEngine> SsdDevice<X> {
     ) {
         if let Some((qid, cid)) = self.dma_out.remove(&xfer) {
             let st = self.cmds.remove(&(qid, cid)).expect("command state");
-            self.queues[qid as usize].complete(NvmeCompletion::success(cid, Some(st.data)));
+            self.queues[qid as usize].complete(NvmeCompletion::read_pages(cid, st.pages));
             return;
         }
         if let Some((qid, cid)) = self.dma_in.remove(&xfer) {

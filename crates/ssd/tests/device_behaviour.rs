@@ -4,9 +4,9 @@
 
 use std::sync::Arc;
 
-use recssd_flash::PageOracle;
+use recssd_flash::{FaultConfig, FaultPlan, PageOracle};
 use recssd_ftl::Lpn;
-use recssd_nvme::{NvmeCommand, NvmeStatus};
+use recssd_nvme::{CompletionData, NvmeCommand, NvmeCompletion, NvmeStatus};
 use recssd_sim::{EventQueue, SimTime};
 use recssd_ssd::{SsdConfig, SsdDevice, SsdEvent};
 
@@ -50,12 +50,20 @@ impl Host {
         last
     }
 
-    fn poll(&mut self, qid: u16) -> Vec<recssd_nvme::NvmeCompletion> {
+    fn poll(&mut self, qid: u16) -> Vec<NvmeCompletion> {
         let mut out = Vec::new();
         while let Some(c) = self.dev.queue(qid).poll() {
             out.push(c);
         }
         out
+    }
+}
+
+/// The page images a successful conventional read returned.
+fn read_pages(c: &NvmeCompletion) -> &[Arc<[u8]>] {
+    match &c.data {
+        Some(CompletionData::Pages(pages)) => pages,
+        other => panic!("read returned {other:?} instead of page images"),
     }
 }
 
@@ -89,11 +97,12 @@ fn write_then_read_round_trips_through_the_full_stack() {
     h.drain();
     let done = h.poll(0);
     assert_eq!(done.len(), 1);
-    let data = done[0].data.as_ref().expect("read returns data");
-    assert_eq!(data.len(), 2 * page);
-    assert_eq!(data[0], 0xA1);
-    assert_eq!(data[page / 2], 0xA1 ^ 0xFF);
-    assert_eq!(data[page], 0xB2);
+    let pages = read_pages(&done[0]);
+    assert_eq!(pages.len(), 2);
+    assert!(pages.iter().all(|p| p.len() == page));
+    assert_eq!(pages[0][0], 0xA1);
+    assert_eq!(pages[0][page / 2], 0xA1 ^ 0xFF);
+    assert_eq!(pages[1][0], 0xB2);
 }
 
 #[test]
@@ -125,7 +134,7 @@ fn unmapped_reads_return_zeros() {
     h.submit(1, NvmeCommand::read(1, 100, 1));
     h.drain();
     let done = h.poll(1);
-    assert!(done[0].data.as_ref().unwrap().iter().all(|&b| b == 0));
+    assert!(read_pages(&done[0])[0].iter().all(|&b| b == 0));
 }
 
 #[test]
@@ -142,7 +151,7 @@ fn preloaded_tables_are_readable_via_nvme() {
     h.submit(0, NvmeCommand::read(1, 123, 1));
     h.drain();
     let done = h.poll(0);
-    let data = done[0].data.as_ref().unwrap();
+    let data = &read_pages(&done[0])[0];
     assert_eq!(u64::from_le_bytes(data[..8].try_into().unwrap()), 123);
 }
 
@@ -258,4 +267,110 @@ fn interleaved_queues_all_complete() {
             assert_eq!(c.status, NvmeStatus::Success);
         }
     }
+}
+
+/// Fills every byte of a page with its index + 1, so a page image that a
+/// later read overwrote in place shows another page's tag everywhere.
+#[derive(Debug)]
+struct Stamped;
+impl PageOracle for Stamped {
+    fn fill_page(&self, idx: u64, out: &mut [u8]) {
+        out.fill(idx as u8 + 1);
+    }
+}
+
+/// A device whose page cache holds `cache_pages` pages, over a preloaded
+/// [`Stamped`] region.
+fn small_cache_host(cache_pages: usize) -> Host {
+    let mut cfg = SsdConfig::cosmos_small();
+    cfg.ftl.page_cache_pages = cache_pages;
+    let mut h = Host::new(cfg);
+    h.dev.preload(Lpn(0), 64, Arc::new(Stamped));
+    h
+}
+
+/// Reads one block and returns its page image.
+fn read_one(h: &mut Host, cid: u16, lpn: u64) -> Arc<[u8]> {
+    h.submit(0, NvmeCommand::read(cid, lpn, 1));
+    h.drain();
+    let done = h.poll(0);
+    assert_eq!(done.len(), 1);
+    let pages = read_pages(&done[0]);
+    assert_eq!(pages.len(), 1);
+    pages[0].clone()
+}
+
+/// Reads blocks `lpns` one command at a time, handing every image back
+/// to the device as soon as it arrives, so the page pool fills and later
+/// reads refill pooled images in place.
+fn churn(h: &mut Host, first_cid: u16, lpns: std::ops::Range<u64>) {
+    for (cid, lpn) in (first_cid..).zip(lpns) {
+        let page = read_one(h, cid, lpn);
+        h.dev.recycle_pages(vec![page]);
+    }
+}
+
+fn flash_reads(h: &Host) -> u64 {
+    h.dev.ftl().flash().stats().reads.get()
+}
+
+#[test]
+fn a_held_page_image_survives_eviction_and_reread() {
+    let mut h = small_cache_host(2);
+    let held = read_one(&mut h, 1, 0);
+    let want = vec![1u8; held.len()];
+    // Evict block 0 from the two-page cache while the host holds it.
+    churn(&mut h, 10, 1..9);
+    assert_eq!(&held[..], &want[..]);
+    // The re-read misses the cache, fills a pooled image and re-caches it.
+    let before = flash_reads(&h);
+    let again = read_one(&mut h, 20, 0);
+    assert_eq!(
+        flash_reads(&h),
+        before + 1,
+        "the re-read must come from flash"
+    );
+    assert!(!Arc::ptr_eq(&held, &again), "a held image is never reused");
+    assert_eq!(&again[..], &want[..]);
+    // It is the cached image now: a second read hits the cache.
+    let hit = read_one(&mut h, 21, 0);
+    assert!(Arc::ptr_eq(&again, &hit));
+    h.dev.recycle_pages(vec![again, hit]);
+    // Evict and churn again; the host's first image is still intact.
+    churn(&mut h, 30, 9..20);
+    assert_eq!(&held[..], &want[..]);
+}
+
+#[test]
+fn an_uncorrectable_reread_reaches_neither_the_cache_nor_the_host() {
+    let mut h = small_cache_host(2);
+    let held = read_one(&mut h, 1, 0);
+    let want = vec![1u8; held.len()];
+    churn(&mut h, 10, 1..9);
+    h.dev.set_fault_plan(Some(FaultPlan::new(FaultConfig {
+        uncorrectable_rate: 1.0,
+        ..FaultConfig::quiet(7)
+    })));
+    let before = flash_reads(&h);
+    h.submit(0, NvmeCommand::read(20, 0, 1));
+    h.drain();
+    let done = h.poll(0);
+    assert_eq!(done[0].status, NvmeStatus::MediaError);
+    assert!(
+        done[0].data.is_none(),
+        "a failed read carries no page images"
+    );
+    assert_eq!(flash_reads(&h), before + 1);
+    h.dev.set_fault_plan(None);
+    // The failed image was not cached: the next read goes to flash again.
+    let again = read_one(&mut h, 21, 0);
+    assert_eq!(
+        flash_reads(&h),
+        before + 2,
+        "the failed read must not be cached"
+    );
+    assert_eq!(&again[..], &want[..]);
+    h.dev.recycle_pages(vec![again]);
+    churn(&mut h, 30, 9..20);
+    assert_eq!(&held[..], &want[..]);
 }

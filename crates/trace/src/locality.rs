@@ -1,6 +1,7 @@
 //! The DLRM-style locality-K trace generator.
 
 use recssd_sim::rng::Xoshiro256;
+use recssd_sim::FxHashMap;
 
 /// The paper's locality knob: K = 0 is the most temporally local trace
 /// (≈13 % unique accesses), K = 2 the least (≈72 %).
@@ -68,8 +69,7 @@ pub struct LocalityTrace {
     rows: u64,
     unique_prob: f64,
     mean_distance: f64,
-    stack: Vec<u64>,
-    max_stack: usize,
+    stack: LruStack,
     rng: Xoshiro256,
 }
 
@@ -91,6 +91,16 @@ impl LocalityTrace {
     /// Panics if `rows` is zero, `unique_prob` is outside `[0, 1]`, or
     /// `mean_distance` is not positive.
     pub fn new(rows: u64, unique_prob: f64, mean_distance: f64, seed: u64) -> Self {
+        Self::with_stack_depth(rows, unique_prob, mean_distance, seed, 16_384)
+    }
+
+    fn with_stack_depth(
+        rows: u64,
+        unique_prob: f64,
+        mean_distance: f64,
+        seed: u64,
+        max_stack: usize,
+    ) -> Self {
         assert!(rows > 0, "table must have rows");
         assert!(
             (0.0..=1.0).contains(&unique_prob),
@@ -101,8 +111,7 @@ impl LocalityTrace {
             rows,
             unique_prob,
             mean_distance,
-            stack: Vec::new(),
-            max_stack: 16_384,
+            stack: LruStack::new(max_stack),
             rng: Xoshiro256::seed_from(seed),
         }
     }
@@ -115,16 +124,13 @@ impl LocalityTrace {
             // probability holds even while the stack is still warming up
             // (beyond warm-up the wrap is a ~e^-27 tail event).
             let d = self.rng.next_exp(1.0 / self.mean_distance) as usize % self.stack.len();
-            let id = self.stack.remove(d);
-            self.stack.insert(0, id);
+            let id = self.stack.take_at(d);
+            self.stack.push_front(id);
             return id;
         }
         let id = self.rng.gen_range(0..self.rows);
-        if let Some(pos) = self.stack.iter().position(|&x| x == id) {
-            self.stack.remove(pos);
-        }
-        self.stack.insert(0, id);
-        self.stack.truncate(self.max_stack);
+        self.stack.remove(id);
+        self.stack.push_front(id);
         id
     }
 
@@ -139,11 +145,275 @@ impl LocalityTrace {
     }
 }
 
+/// A bounded LRU stack of ids with O(log n) access by depth.
+///
+/// Every push stamps the id with the next value of a counter; an id's
+/// depth (0 = most recent) is the number of live ids with a later stamp.
+/// A Fenwick tree over the stamp space counts live stamps, so the id at a
+/// given depth is found by a prefix-sum search instead of a linear scan.
+/// When the counter reaches the end of the stamp space, the live ids are
+/// renumbered in order (an O(space) pass every `space - capacity` pushes).
+#[derive(Debug)]
+struct LruStack {
+    capacity: usize,
+    /// Fenwick tree (1-based) over stamps: stamp `s` counts at `s + 1`.
+    tree: Vec<u32>,
+    /// The id last stamped with each stamp (stale once re-stamped).
+    ids: Vec<u64>,
+    /// Each live id's stamp.
+    stamp_of: FxHashMap<u64, u32>,
+    next_stamp: usize,
+}
+
+impl LruStack {
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "stack must hold at least one id");
+        let space = (2 * capacity).next_power_of_two();
+        LruStack {
+            capacity,
+            tree: vec![0; space + 1],
+            ids: vec![0; space],
+            stamp_of: FxHashMap::default(),
+            next_stamp: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.stamp_of.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.stamp_of.is_empty()
+    }
+
+    fn add(&mut self, stamp: usize, delta: i32) {
+        let mut i = stamp + 1;
+        while i < self.tree.len() {
+            self.tree[i] = self.tree[i].wrapping_add_signed(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The stamp of the `k`-th oldest live id (`k` ≥ 1).
+    fn kth_oldest(&self, k: usize) -> usize {
+        let space = self.ids.len();
+        let (mut pos, mut rem) = (0, k as u32);
+        let mut step = space;
+        while step > 0 {
+            if pos + step <= space && self.tree[pos + step] < rem {
+                pos += step;
+                rem -= self.tree[pos];
+            }
+            step >>= 1;
+        }
+        pos
+    }
+
+    /// Removes `id` if it is on the stack.
+    fn remove(&mut self, id: u64) {
+        if let Some(stamp) = self.stamp_of.remove(&id) {
+            self.add(stamp as usize, -1);
+        }
+    }
+
+    /// Removes and returns the id at depth `d` (0 = most recent).
+    fn take_at(&mut self, d: usize) -> u64 {
+        let stamp = self.kth_oldest(self.len() - d);
+        let id = self.ids[stamp];
+        self.remove(id);
+        id
+    }
+
+    /// Pushes `id` (which must not be on the stack) as the most recent,
+    /// dropping the oldest id if the stack overflows.
+    fn push_front(&mut self, id: u64) {
+        if self.next_stamp == self.ids.len() {
+            self.compact();
+        }
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.ids[stamp] = id;
+        self.stamp_of.insert(id, stamp as u32);
+        self.add(stamp, 1);
+        if self.len() > self.capacity {
+            let oldest = self.ids[self.kth_oldest(1)];
+            self.remove(oldest);
+        }
+    }
+
+    /// Renumbers the live ids to stamps `0..len` in stamp order and
+    /// rebuilds the tree.
+    fn compact(&mut self) {
+        let mut live = 0;
+        for stamp in 0..self.next_stamp {
+            let id = self.ids[stamp];
+            if self.stamp_of.get(&id) == Some(&(stamp as u32)) {
+                self.ids[live] = id;
+                self.stamp_of.insert(id, live as u32);
+                live += 1;
+            }
+        }
+        self.next_stamp = live;
+        // Linear-time Fenwick build over `live` ones.
+        self.tree.fill(0);
+        for i in 1..self.tree.len() {
+            if i <= live {
+                self.tree[i] += 1;
+            }
+            let parent = i + (i & i.wrapping_neg());
+            if parent < self.tree.len() {
+                self.tree[parent] += self.tree[i];
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::unique_fraction;
+    use proptest::prelude::*;
     use recssd_cache::LruCache;
+
+    /// The straightforward `Vec` LRU stack the generator is defined by:
+    /// the same draws, in the same order, with linear-time stack updates.
+    struct VecOracle {
+        rows: u64,
+        unique_prob: f64,
+        mean_distance: f64,
+        stack: Vec<u64>,
+        max_stack: usize,
+        rng: Xoshiro256,
+    }
+
+    impl VecOracle {
+        fn new(
+            rows: u64,
+            unique_prob: f64,
+            mean_distance: f64,
+            seed: u64,
+            max_stack: usize,
+        ) -> Self {
+            VecOracle {
+                rows,
+                unique_prob,
+                mean_distance,
+                stack: Vec::new(),
+                max_stack,
+                rng: Xoshiro256::seed_from(seed),
+            }
+        }
+
+        fn next_id(&mut self) -> u64 {
+            let reuse = !self.stack.is_empty() && !self.rng.gen_bool(self.unique_prob);
+            if reuse {
+                let d = self.rng.next_exp(1.0 / self.mean_distance) as usize % self.stack.len();
+                let id = self.stack.remove(d);
+                self.stack.insert(0, id);
+                return id;
+            }
+            let id = self.rng.gen_range(0..self.rows);
+            if let Some(pos) = self.stack.iter().position(|&x| x == id) {
+                self.stack.remove(pos);
+            }
+            self.stack.insert(0, id);
+            self.stack.truncate(self.max_stack);
+            id
+        }
+    }
+
+    /// Asserts the generator and the oracle emit the same `n` ids.
+    fn assert_matches_oracle(
+        rows: u64,
+        unique_prob: f64,
+        mean_distance: f64,
+        seed: u64,
+        max_stack: usize,
+        n: usize,
+    ) {
+        let mut fast =
+            LocalityTrace::with_stack_depth(rows, unique_prob, mean_distance, seed, max_stack);
+        let mut slow = VecOracle::new(rows, unique_prob, mean_distance, seed, max_stack);
+        for i in 0..n {
+            assert_eq!(
+                fast.next_id(),
+                slow.next_id(),
+                "id {i} diverged (rows {rows}, p {unique_prob}, mean {mean_distance}, seed {seed}, depth {max_stack})"
+            );
+        }
+        assert_eq!(fast.stack.len(), slow.stack.len());
+    }
+
+    #[test]
+    fn matches_vec_stack_at_paper_depth() {
+        // 120K ids over every K, each with its own seed. Every run passes
+        // 32,768 pushes, so its stamps compact; K1 and K2 also fill the
+        // 16,384-deep stack and evict from it.
+        for (k, seed) in LocalityK::all().into_iter().zip(1..) {
+            assert_matches_oracle(
+                1_000_000,
+                k.unique_prob(),
+                LocalityTrace::DEFAULT_MEAN_DISTANCE,
+                seed,
+                16_384,
+                40_000,
+            );
+        }
+    }
+
+    #[test]
+    fn compaction_keeps_the_stack_order() {
+        // A 4-deep stack has an 8-stamp space, so stamps compact every few
+        // pushes: right after a re-reference took the touched id off the
+        // stack, and right after a fresh id evicted the oldest.
+        let mut stack = LruStack::new(4);
+        let mut oracle: Vec<u64> = Vec::new();
+        let mut rng = Xoshiro256::seed_from(3);
+        for _ in 0..10_000 {
+            let id = if !oracle.is_empty() && rng.gen_bool(0.5) {
+                let d = rng.gen_range(0..oracle.len() as u64) as usize;
+                let id = oracle.remove(d);
+                assert_eq!(stack.take_at(d), id);
+                id
+            } else {
+                let id = rng.gen_range(0..10);
+                oracle.retain(|&x| x != id);
+                stack.remove(id);
+                id
+            };
+            stack.push_front(id);
+            oracle.insert(0, id);
+            oracle.truncate(4);
+            let by_depth: Vec<u64> = (0..stack.len())
+                .map(|d| stack.ids[stack.kth_oldest(stack.len() - d)])
+                .collect();
+            assert_eq!(by_depth, oracle);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Small stacks compact their stamps every few ids; the sequence
+        /// must still be the `Vec` stack's, id for id.
+        #[test]
+        fn matches_vec_stack_across_compactions(
+            rows in 1u64..5_000,
+            unique_tenths in 0u32..11,
+            mean_distance in 1u32..200,
+            seed in 0u64..1_000,
+            depth in 1usize..300,
+        ) {
+            assert_matches_oracle(
+                rows,
+                unique_tenths as f64 / 10.0,
+                mean_distance as f64,
+                seed,
+                depth,
+                5_000,
+            );
+        }
+    }
 
     #[test]
     fn unique_fractions_match_paper_calibration() {

@@ -9,7 +9,7 @@
 
 use recssd::{NdpSlsEngine, SlsConfig};
 use recssd_embedding::Quantization;
-use recssd_nvme::NvmeCommand;
+use recssd_nvme::{CompletionData, NvmeCommand};
 use recssd_sim::{EventQueue, SimTime};
 use recssd_ssd::{SsdConfig, SsdDevice, SsdEvent};
 
@@ -62,13 +62,19 @@ fn main() {
     let completion = host.dev.queue(0).poll().expect("write done");
     assert_eq!(completion.cid, 1);
     let completion = host.dev.queue(0).poll().expect("read done");
-    let data = completion.data.expect("read data");
+    // A conventional read returns one shared page image per block.
+    let Some(CompletionData::Pages(pages)) = completion.data else {
+        panic!("read returns page images")
+    };
+    let page = &pages[0];
     println!(
         "read back: {:?}",
         (0..3)
-            .map(|i| f32::from_le_bytes(data[i * 4..i * 4 + 4].try_into().unwrap()))
+            .map(|i| f32::from_le_bytes(page[i * 4..i * 4 + 4].try_into().unwrap()))
             .collect::<Vec<_>>()
     );
+    // Done with the images: hand them back to the device's page pool.
+    host.dev.recycle_pages(pages);
 
     // 2. The firmware IOPS ceiling (§3.2 of the paper).
     println!("\n--- random-read IOPS ceiling ---");
@@ -112,7 +118,10 @@ fn main() {
     host.submit(0, NvmeCommand::ndp_read(5, slba, 1));
     host.drain();
     let result = host.dev.queue(0).poll().expect("results ready");
-    let bytes = result.data.expect("result block");
+    // An NDP result read returns a device-built payload.
+    let Some(CompletionData::Bytes(bytes)) = result.data else {
+        panic!("NDP read returns a result payload")
+    };
     let sum = f32::from_le_bytes(bytes[..4].try_into().unwrap());
     println!("device-accumulated sum of rows 0 and 5: {sum} (expect 3.5)");
     assert_eq!(sum, 3.5);
