@@ -14,7 +14,7 @@
 //! timelines, automated bottleneck ranking + headroom), sweeps
 //! per-channel SLS engine pools × queue depth on the NDP path (the
 //! multi-engine in-SSD compute tentpole), and writes
-//! `BENCH_serving.json` (v9 schema) with throughput, p50/p95/p99/p999
+//! `BENCH_serving.json` (v10 schema) with throughput, p50/p95/p99/p999
 //! latency, per-shard operator occupancy, flash channel utilisation,
 //! DRAM-tier hit-rate, per-tier latency, plan-refresh / migration
 //! telemetry, fault / retry / fallback / degradation counters, the
@@ -62,9 +62,9 @@ use recssd_embedding::{EmbeddingTable, PageLayout, Quantization, TableSpec};
 use recssd_placement::{plan_delta, FreqProfiler, PlacementPlan, PlacementPolicy};
 use recssd_serving::{
     bottleneck_report, chrome_trace_json, critical_path_report, utilization_timelines,
-    validate_spans, AdaptivePolicy, BottleneckReport, CriticalPathReport, ExecMode, FaultPolicy,
-    LoadGen, LoadMode, LoadReport, PathAttribution, Phase, SchedulePolicy, ServingConfig,
-    ServingRuntime, SlsPath, TrafficSpec, UtilizationTimeline, WallPhaseReport, WorkerProfile,
+    validate_spans, AdaptivePolicy, BottleneckReport, CriticalPathReport, FaultPolicy, LoadGen,
+    LoadMode, LoadReport, PathAttribution, Phase, SchedulePolicy, ServingConfig, ServingRuntime,
+    SlsPath, TrafficSpec, UtilizationTimeline, WallPhaseReport,
 };
 use recssd_sim::stats::Quantiles;
 use recssd_sim::{SimDuration, SimTime};
@@ -886,12 +886,6 @@ struct ObsReport {
     attribution: Vec<PathAttribution>,
     /// Wall-clock self-profile of the simulator loop.
     wall: Vec<WallPhaseReport>,
-    /// The execution mode the traced pass actually ran under (after any
-    /// `RECSSD_FORCE_EXEC` override), as a stable label.
-    exec: String,
-    /// Per-worker advance vs barrier-wait self-profiles of the parallel
-    /// stepper (empty when the pass ran sequentially).
-    workers: Vec<WorkerProfile>,
     /// The full Chrome-trace JSON (written to `--trace-out`).
     trace_json: String,
     /// Per-epoch JSONL metric snapshots (written to `--epoch-log`).
@@ -907,25 +901,12 @@ struct ObsReport {
 /// Analysis window width for the utilization timelines, ns.
 const ANALYSIS_WINDOW_NS: u64 = 100_000;
 
-/// Stable JSON label for an execution mode.
-fn exec_label(exec: ExecMode) -> String {
-    match exec {
-        ExecMode::Sequential => "sequential".to_string(),
-        ExecMode::Parallel(n) => format!("parallel{n}"),
-    }
-}
-
 /// Traced mixed-path run: tracing + self-profiling + the adaptive loop
-/// (for epoch snapshots) on a 2-shard micro-batched runtime, stepped by
-/// the parallel executor (one worker per shard) so the per-worker
-/// advance/barrier profile is populated. Asserts the span invariants:
-/// every request reconstructs from its children (≥ 99 % coverage),
-/// parents resolve, children nest — and they hold under the
-/// multi-threaded stepper exactly as they do sequentially.
+/// (for epoch snapshots) on a 2-shard micro-batched runtime. Asserts the
+/// span invariants: every request reconstructs from its children
+/// (≥ 99 % coverage), parents resolve, children nest.
 fn run_observability(p: &Params) -> ObsReport {
-    let cfg = ServingConfig::small_wide(2, SchedulePolicy::micro_batch(8))
-        .with_depth(2)
-        .with_exec(ExecMode::Parallel(2));
+    let cfg = ServingConfig::small_wide(2, SchedulePolicy::micro_batch(8)).with_depth(2);
     let (mut rt, tables) = build_runtime(p, &cfg);
     rt.enable_tracing();
     rt.enable_self_profiling();
@@ -1000,18 +981,6 @@ fn run_observability(p: &Params) -> ObsReport {
             w.count,
         );
     }
-    for w in rt.worker_profiles() {
-        println!(
-            "  worker {}: advance {:>9.3} ms, barrier {:>9.3} ms over {} windows \
-             ({:.0}% useful)",
-            w.worker,
-            w.advance_ns as f64 / 1e6,
-            w.barrier_ns as f64 / 1e6,
-            w.windows,
-            w.utilization() * 100.0,
-        );
-    }
-
     // Analysis layer over the same trace: critical-path decomposition,
     // queueing timelines, bottleneck ranking. (Pure observers — the
     // runtime equivalents read a non-draining snapshot; here the spans
@@ -1056,8 +1025,6 @@ fn run_observability(p: &Params) -> ObsReport {
         min_coverage: check.min_coverage,
         attribution: rt.attribution(),
         wall: rt.wall_profile(),
-        exec: exec_label(rt.exec_mode()),
-        workers: rt.worker_profiles(),
         trace_json: chrome_trace_json(&spans),
         epoch_log: rt.take_epoch_log(),
         critical,
@@ -1249,7 +1216,7 @@ fn write_json(
 ) -> String {
     // Hand-rolled JSON: the workspace has no serde and the schema is flat.
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"recssd-serving/v9\",\n");
+    s.push_str("{\n  \"schema\": \"recssd-serving/v10\",\n");
     let _ = writeln!(
         s,
         "  \"workload\": {{\"tables\": {}, \"rows_per_table\": {}, \"dim\": {}, \"outputs\": {}, \
@@ -1496,8 +1463,8 @@ fn write_json(
     let _ = writeln!(
         s,
         "  \"observability\": {{\n    \"trace_spans\": {}, \"trace_requests\": {}, \
-         \"trace_min_coverage\": {:.4}, \"exec\": \"{}\",",
-        obs.spans, obs.requests, obs.min_coverage, obs.exec,
+         \"trace_min_coverage\": {:.4},",
+        obs.spans, obs.requests, obs.min_coverage,
     );
     s.push_str("    \"attribution\": [\n");
     for (i, a) in obs.attribution.iter().enumerate() {
@@ -1527,24 +1494,6 @@ fn write_json(
             w.count,
         );
         s.push_str(if i + 1 < obs.wall.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("    ],\n    \"worker_profiles\": [\n");
-    for (i, w) in obs.workers.iter().enumerate() {
-        let _ = write!(
-            s,
-            "      {{\"worker\": {}, \"advance_ms\": {:.3}, \"barrier_ms\": {:.3}, \
-             \"windows\": {}, \"utilization\": {:.3}}}",
-            w.worker,
-            w.advance_ns as f64 / 1e6,
-            w.barrier_ns as f64 / 1e6,
-            w.windows,
-            w.utilization(),
-        );
-        s.push_str(if i + 1 < obs.workers.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
     }
     s.push_str("    ]\n  },\n");
 

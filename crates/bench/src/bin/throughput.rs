@@ -26,11 +26,7 @@ use recssd::{OpKind, RecSsdConfig, SlsOptions, System};
 use recssd_embedding::{
     EmbeddingTable, LookupBatch, PageLayout, Quantization, TableImage, TableSpec,
 };
-use recssd_serving::{
-    ExecMode, SchedulePolicy, ServingConfig, ServingRuntime, SlsPath, WorkerProfile,
-};
 use recssd_sim::rng::Xoshiro256;
-use recssd_sim::SimTime;
 
 #[cfg(feature = "count-allocs")]
 #[global_allocator]
@@ -191,136 +187,10 @@ fn run_path(p: &Params, name: &'static str, mk: &MkOp) -> PathReport {
     }
 }
 
-/// Workload for the parallel-scaling block: an 8-shard NDP serving
-/// co-simulation saturated by densely staggered open-loop arrivals, so
-/// every lookahead window has all shards busy — the shape the
-/// multi-threaded stepper exists for.
-struct ScalingParams {
-    shards: usize,
-    depth: usize,
-    rows: u64,
-    dim: usize,
-    requests: usize,
-    outputs: usize,
-    lookups_per_output: usize,
-    arrival_step_ns: u64,
-}
-
-impl ScalingParams {
-    fn default() -> Self {
-        ScalingParams {
-            shards: 8,
-            depth: 4,
-            rows: 8192,
-            dim: 64,
-            requests: 256,
-            outputs: 8,
-            lookups_per_output: 32,
-            arrival_step_ns: 500,
-        }
-    }
-
-    fn lookups(&self) -> u64 {
-        (self.requests * self.outputs * self.lookups_per_output) as u64
-    }
-}
-
-/// One execution mode's measurement over the scaling workload.
-struct ScalingPoint {
-    label: &'static str,
-    wall_secs: f64,
-    sim_ns: u64,
-    /// Order-sensitive digest of the full completion stream (ids,
-    /// nanosecond timings, output bits) — every mode must produce the
-    /// same value or the parallel stepper broke bit-identity.
-    checksum: u64,
-    workers: Vec<WorkerProfile>,
-}
-
-fn scaling_run(sp: &ScalingParams, label: &'static str, exec: ExecMode) -> ScalingPoint {
-    let cfg = ServingConfig::small_wide(sp.shards, SchedulePolicy::micro_batch(8))
-        .with_depth(sp.depth)
-        .with_exec(exec);
-    let mut rt = ServingRuntime::new(&cfg);
-    let table = rt.add_table(EmbeddingTable::procedural(
-        TableSpec::new(sp.rows, sp.dim, Quantization::F32),
-        11,
-    ));
-    let mut rng = Xoshiro256::seed_from(0x5CA1E);
-    for i in 0..sp.requests {
-        let batch = LookupBatch::new(
-            (0..sp.outputs)
-                .map(|_| {
-                    (0..sp.lookups_per_output)
-                        .map(|_| rng.gen_range(0..sp.rows))
-                        .collect()
-                })
-                .collect(),
-        );
-        rt.submit_at(
-            SimTime::from_ns(i as u64 * sp.arrival_step_ns),
-            i as u64,
-            table,
-            batch,
-            SlsPath::Ndp(SlsOptions::default()),
-        );
-    }
-    let wall0 = Instant::now();
-    let done = rt.run_until_idle();
-    let wall_secs = wall0.elapsed().as_secs_f64();
-    assert_eq!(done.len(), sp.requests, "requests lost in scaling run");
-    let mut checksum = 0xcbf29ce484222325u64; // FNV-1a over the stream
-    let mut fold = |v: u64| {
-        checksum = (checksum ^ v).wrapping_mul(0x100000001b3);
-    };
-    for d in &done {
-        fold(d.id.0);
-        fold(d.finish.as_ns());
-        fold(d.queue.as_ns());
-        fold(d.service.as_ns());
-        fold(d.missing_lookups);
-        for v in d.outputs.as_slice() {
-            fold(u64::from(v.to_bits()));
-        }
-    }
-    ScalingPoint {
-        label,
-        wall_secs,
-        sim_ns: rt.now().as_ns(),
-        checksum,
-        workers: rt.worker_profiles(),
-    }
-}
-
-/// Measures the conservative parallel stepper against the sequential
-/// one on the same saturated 8-shard NDP workload and asserts the
-/// completion streams stay bit-identical while doing so.
-fn run_parallel_scaling(sp: &ScalingParams) -> Vec<ScalingPoint> {
-    let points = vec![
-        scaling_run(sp, "sequential", ExecMode::Sequential),
-        scaling_run(sp, "parallel2", ExecMode::Parallel(2)),
-        scaling_run(sp, "parallel4", ExecMode::Parallel(4)),
-    ];
-    for pt in &points[1..] {
-        assert_eq!(
-            pt.checksum, points[0].checksum,
-            "{} completion stream diverged from sequential",
-            pt.label
-        );
-    }
-    points
-}
-
-fn json_escape_free(
-    reports: &[PathReport],
-    p: &Params,
-    sp: &ScalingParams,
-    scaling: &[ScalingPoint],
-    cores: usize,
-) -> String {
+fn json_escape_free(reports: &[PathReport], p: &Params) -> String {
     // Hand-rolled JSON: the workspace has no serde and the schema is flat.
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"recssd-throughput/v2\",\n");
+    s.push_str("{\n  \"schema\": \"recssd-throughput/v3\",\n");
     let _ = writeln!(
         s,
         "  \"workload\": {{\"rows\": {}, \"dim\": {}, \"outputs\": {}, \"lookups_per_output\": {}, \"batches\": {}}},",
@@ -345,44 +215,7 @@ fn json_escape_free(
         );
         s.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
     }
-    s.push_str("  },\n");
-    s.push_str("  \"parallel_scaling\": {\n");
-    let _ = writeln!(s, "    \"cores\": {cores},");
-    let _ = writeln!(
-        s,
-        "    \"workload\": {{\"shards\": {}, \"depth\": {}, \"rows\": {}, \"dim\": {}, \
-         \"requests\": {}, \"lookups\": {}, \"arrival_step_ns\": {}}},",
-        sp.shards,
-        sp.depth,
-        sp.rows,
-        sp.dim,
-        sp.requests,
-        sp.lookups(),
-        sp.arrival_step_ns
-    );
-    let seq_wall = scaling[0].wall_secs;
-    s.push_str("    \"modes\": {\n");
-    for (i, pt) in scaling.iter().enumerate() {
-        let (advance_ns, barrier_ns, windows) = pt.workers.iter().fold((0, 0, 0), |acc, w| {
-            (acc.0 + w.advance_ns, acc.1 + w.barrier_ns, w.windows)
-        });
-        let _ = write!(
-            s,
-            "      \"{}\": {{\"wall_secs\": {:.6}, \"lookups_per_wall_sec\": {:.0}, \
-             \"speedup\": {:.3}, \"sim_ns\": {}, \"windows\": {}, \
-             \"advance_ns\": {}, \"barrier_ns\": {}}}",
-            pt.label,
-            pt.wall_secs,
-            sp.lookups() as f64 / pt.wall_secs,
-            seq_wall / pt.wall_secs,
-            pt.sim_ns,
-            windows,
-            advance_ns,
-            barrier_ns
-        );
-        s.push_str(if i + 1 < scaling.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("    }\n  }\n}\n");
+    s.push_str("  }\n}\n");
     s
 }
 
@@ -418,27 +251,7 @@ fn main() {
             allocs
         );
     }
-    let sp = ScalingParams::default();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "parallel scaling: {} shards x depth {} NDP serving, {} requests ({} lookups), {cores} cores",
-        sp.shards,
-        sp.depth,
-        sp.requests,
-        sp.lookups()
-    );
-    let scaling = run_parallel_scaling(&sp);
-    let seq_wall = scaling[0].wall_secs;
-    for pt in &scaling {
-        println!(
-            "{:<11} wall {:.3}s  speedup {:.2}x  ({:.0} lookups/wall-sec)",
-            pt.label,
-            pt.wall_secs,
-            seq_wall / pt.wall_secs,
-            sp.lookups() as f64 / pt.wall_secs
-        );
-    }
-    let json = json_escape_free(&reports, &p, &sp, &scaling, cores);
+    let json = json_escape_free(&reports, &p);
     std::fs::write(&out_path, &json).expect("write BENCH_throughput.json");
     println!("wrote {out_path}");
 }

@@ -362,14 +362,6 @@ pub struct System {
     tracer: Tracer,
 }
 
-// A shard `System` must be steppable on a worker thread: all interior
-// state is owned or `Send` (the tracer's sink is `Arc<Mutex<_>>`). The
-// parallel serving stepper depends on this bound.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<System>()
-};
-
 impl System {
     /// Builds a system: device + NDP engine + host model.
     ///
@@ -467,31 +459,6 @@ impl System {
     /// external co-simulation loop uses to schedule its next visit.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.q.peek_time()
-    }
-
-    /// Conservative-parallel **lookahead**: the minimum virtual time
-    /// between an external stimulus to this system (an operator
-    /// submission) and the earliest instant that stimulus can produce an
-    /// externally visible effect (a completion the caller could react
-    /// to).
-    ///
-    /// Every submission first pays the host software command cost
-    /// (`HostConfig::sw_cmd_ns`) and the fixed per-operator overhead
-    /// (`HostConfig::op_overhead_ns`) before any device work can finish,
-    /// so a parallel stepper may advance each shard `System`
-    /// independently through any window shorter than this horizon: work
-    /// submitted at or after the window start cannot complete — and
-    /// therefore cannot trigger a cross-shard reaction — inside the
-    /// window. This is the lookahead contract the serving layer's
-    /// `ExecMode::Parallel` stepper relies on; it pairs with
-    /// [`System::run_until`] (advance to a bound) and
-    /// [`System::next_event_time`] (when to visit next).
-    ///
-    /// Configs where this is zero admit no lookahead (the window
-    /// degenerates to one event at a time); the serving layer rejects
-    /// them for parallel execution.
-    pub fn sync_horizon(&self) -> SimDuration {
-        SimDuration::from_ns(self.cfg.host.sw_cmd_ns + self.cfg.host.op_overhead_ns)
     }
 
     /// Number of operators currently submitted and unfinished.

@@ -16,7 +16,7 @@
 //!   one JSONL snapshot path.
 //! * [`profile`] — **wall-clock self-profiling** of the simulator itself
 //!   (event dispatch vs device stepping vs harvest/accumulate), the
-//!   baseline any future parallel stepper must beat.
+//!   baseline any wall-clock speedup is measured against.
 //!
 //! [`chrome`] exports recorded spans as Chrome-trace/Perfetto JSON and
 //! validates the span invariants (parent links resolve, children nest
@@ -50,7 +50,7 @@ pub use analysis::{
 pub use chrome::{
     chrome_trace_json, coverage_report, validate_spans, CoverageGap, RequestCoverage, TraceCheck,
 };
-pub use profile::{WallPhase, WallPhaseReport, WallProfile, WorkerProfile};
+pub use profile::{WallPhase, WallPhaseReport, WallProfile};
 pub use registry::{CounterH, GaugeH, HistH, HitsH, MetricValue, MetricsRegistry};
 pub use timeline::{utilization_timelines, ResourceKind, UtilWindow, UtilizationTimeline};
 pub use trace::{SpanId, SpanRec, TraceSink, Tracer};

@@ -14,19 +14,16 @@
 //! (e.g. a request span is allocated at admission and emitted at
 //! completion, after every sub-batch span already referenced it).
 //!
-//! # Threading and id namespaces
+//! # Id namespaces
 //!
-//! Sinks are `Send + Sync` (`Arc<Mutex<_>>` inside), so a simulated
-//! component can be stepped on a worker thread while it traces. For
-//! deterministic ids under parallel execution, each sink carries an **id
-//! namespace** ([`TraceSink::namespaced`]): allocated ids are
-//! `(namespace << 40) | counter`, so ids from different sinks never
-//! collide and a span in one sink may reference a parent allocated in
-//! another. Namespace 0 ([`TraceSink::new`]) yields the plain ids
-//! `1, 2, 3, …`. Per-component sinks + namespaced ids are what make a
-//! multi-threaded trace bit-identical to its sequential counterpart:
-//! each component's allocation sequence depends only on that component's
-//! own event order, never on cross-thread interleaving.
+//! Each sink carries an **id namespace** ([`TraceSink::namespaced`]):
+//! allocated ids are `(namespace << 40) | counter`, so ids from
+//! different sinks never collide and a span in one sink may reference a
+//! parent allocated in another. Namespace 0 ([`TraceSink::new`]) yields
+//! the plain ids `1, 2, 3, …`. With one namespaced sink per simulated
+//! component, each component's span ids depend only on that component's
+//! own event order, never on how its work interleaves with other
+//! components' on the shared timeline.
 
 use std::sync::{Arc, Mutex};
 

@@ -104,7 +104,6 @@
 #![warn(missing_debug_implementations)]
 
 mod loadgen;
-mod par;
 mod policy;
 mod runtime;
 mod shard;
@@ -113,8 +112,8 @@ mod telemetry;
 pub use loadgen::{LoadGen, LoadMode, LoadReport, TrafficSpec};
 pub use policy::SchedulePolicy;
 pub use runtime::{
-    AdaptivePolicy, CompletedRequest, ExecMode, FaultPolicy, RequestId, ServedTableId,
-    ServingConfig, ServingError, ServingRuntime,
+    AdaptivePolicy, CompletedRequest, FaultPolicy, RequestId, ServedTableId, ServingConfig,
+    ServingError, ServingRuntime,
 };
 pub use shard::{ShardMap, SlsPath};
 pub use telemetry::{PathAttribution, ServingStats};
@@ -129,5 +128,5 @@ pub use recssd_obs::{
     request_critical_paths, utilization_timelines, validate_spans, BottleneckReport, CoverageGap,
     CriticalPathReport, MetricValue, PathHeadroom, PathProfile, Phase, RequestCoverage,
     RequestProfile, ResourceKind, ResourceUse, SpanRec, TraceCheck, UtilWindow,
-    UtilizationTimeline, WallPhase, WallPhaseReport, WorkerProfile,
+    UtilizationTimeline, WallPhase, WallPhaseReport,
 };
