@@ -1,167 +1,68 @@
-//! Determinism stress tests for the conservative parallel stepper: the
-//! execution mode is a *performance knob*, never an observable one.
-//! A same-seed workload must produce bit-identical completion streams,
-//! metric registries, end-of-run telemetry and Chrome-trace JSON under
-//! [`ExecMode::Sequential`], `Parallel(2)` and `Parallel(8)` — with
-//! tracing enabled, and with deterministic fault injection at zero rate
-//! and at a 1 % transient-read-error rate.
+//! Determinism of runtimes run in parallel on OS threads.
 //!
-//! These runs request explicit `with_exec` modes. Under a
-//! `RECSSD_FORCE_EXEC` sweep the override wins (that is its job) and
-//! the comparisons degrade to same-seed replay checks of the forced
-//! mode; the default test run exercises the real cross-mode boundary.
+//! Each [`ServingRuntime`](recssd_serving::ServingRuntime) owns its whole
+//! simulated world, so independent runtimes may be driven concurrently
+//! from separate threads. These tests check that doing so is
+//! unobservable: no process-global state (counters, span-id sources,
+//! RNG) leaks between runtimes, and every concurrent run produces the
+//! same digest as a run on the test thread alone, and the pinned value.
 
-use recssd::{FaultConfig, LookupBatch, SlsOptions};
-use recssd_embedding::{EmbeddingTable, Quantization, TableSpec};
-use recssd_serving::{
-    chrome_trace_json, ExecMode, FaultPolicy, MetricValue, SchedulePolicy, ServingConfig,
-    ServingRuntime, SlsPath,
-};
-use recssd_sim::rng::Xoshiro256;
-use recssd_sim::SimTime;
+mod common;
 
-const ROWS: u64 = 600;
+use std::thread;
 
-#[derive(Debug, PartialEq)]
-struct RunDigest {
-    /// Completion stream in delivery order: id, timings (ns), raw
-    /// output bits, degradation accounting.
-    completions: Vec<(u64, u64, u64, u64, Vec<u32>, u64)>,
-    /// Every registry metric, stringified.
-    metrics: Vec<String>,
-    /// End-of-run telemetry as raw bits.
-    occupancy: Vec<u64>,
-    channel_util: Vec<u64>,
-    tier_occupancy: u64,
-    /// The full Chrome-trace export.
-    trace_json: String,
-}
+use common::{run_under, Faults, RunDigest, PINNED_NONE, PINNED_TRANSIENT, PINNED_ZERO_RATE};
 
-/// How hard the deterministic fault plan leans on the run.
-#[derive(Clone, Copy, Debug)]
-enum Faults {
-    None,
-    ZeroRate,
-    OnePercentTransient,
-}
-
-/// A mixed-path, 4-shard, depth-2 workload with tracing on, run to
-/// idle under `exec`.
-fn run_under(exec: ExecMode, faults: Faults) -> RunDigest {
-    let cfg = ServingConfig::small_wide(4, SchedulePolicy::micro_batch(8))
-        .with_depth(2)
-        .with_exec(exec);
-    let mut rt = ServingRuntime::new(&cfg);
-    rt.enable_tracing();
-    let t = rt.add_table(EmbeddingTable::procedural(
-        TableSpec::new(ROWS, 12, Quantization::F32),
-        9,
-    ));
-    match faults {
-        Faults::None => {}
-        Faults::ZeroRate => {
-            // An armed all-zero-rate plan must be as invisible as no
-            // plan at all — in every execution mode.
-            rt.inject_faults(&FaultConfig::quiet(0x5EED));
-            rt.set_fault_policy(FaultPolicy::default());
-        }
-        Faults::OnePercentTransient => {
-            let mut fc = FaultConfig::quiet(0x5EED);
-            fc.transient_read_error_rate = 0.01;
-            rt.inject_faults(&fc);
-            rt.set_fault_policy(FaultPolicy::default());
-        }
-    }
-    let mut rng = Xoshiro256::seed_from(0xD15C);
-    let paths = [
-        SlsPath::Dram,
-        SlsPath::Baseline(SlsOptions::default()),
-        SlsPath::Ndp(SlsOptions::default()),
-    ];
-    for i in 0..36u64 {
-        let batch = LookupBatch::new(
-            (0..3)
-                .map(|_| (0..6).map(|_| rng.gen_range(0..ROWS)).collect())
-                .collect(),
-        );
-        rt.submit_at(
-            SimTime::from_us(i * 3),
-            i,
-            t,
-            batch,
-            paths[i as usize % paths.len()],
-        );
-    }
-    let completions = rt
-        .run_until_idle()
-        .iter()
-        .map(|d| {
-            (
-                d.id.0,
-                d.finish.as_ns(),
-                d.queue.as_ns(),
-                d.service.as_ns(),
-                d.outputs.as_slice().iter().map(|v| v.to_bits()).collect(),
-                d.missing_lookups,
-            )
-        })
-        .collect();
-    let key = |v: &(String, MetricValue)| format!("{v:?}");
-    RunDigest {
-        completions,
-        metrics: rt.metrics_snapshot().iter().map(key).collect(),
-        occupancy: rt.shard_occupancy().iter().map(|v| v.to_bits()).collect(),
-        channel_util: rt
-            .channel_utilisation()
+/// Runs every regime in `regimes` on its own thread, all at once, and
+/// returns the digests in order.
+fn run_concurrently(regimes: &[Faults]) -> Vec<RunDigest> {
+    thread::scope(|s| {
+        let handles: Vec<_> = regimes
             .iter()
-            .map(|v| v.to_bits())
-            .collect(),
-        tier_occupancy: rt.tier_occupancy().to_bits(),
-        trace_json: chrome_trace_json(&rt.take_trace()),
-    }
+            .map(|&faults| s.spawn(move || run_under(faults)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("runtime thread panicked"))
+            .collect()
+    })
 }
 
-fn assert_mode_invariant(faults: Faults) {
-    let seq = run_under(ExecMode::Sequential, faults);
+/// 1 % transient read errors exercise the retry/backoff machinery;
+/// two runs of it on concurrent threads each bit-match a run on the
+/// test thread alone.
+#[test]
+fn parallel_runs_bit_match_sequential_with_transient_faults() {
+    let seq = run_under(Faults::OnePercentTransient);
     assert!(
         !seq.trace_json.is_empty() && !seq.completions.is_empty(),
         "reference run produced nothing to compare"
     );
-    for workers in [2usize, 8] {
-        let par = run_under(ExecMode::Parallel(workers), faults);
+    assert_eq!(seq.fnv1a(), PINNED_TRANSIENT);
+    let par = run_concurrently(&[Faults::OnePercentTransient, Faults::OnePercentTransient]);
+    for (i, d) in par.iter().enumerate() {
         assert_eq!(
-            par, seq,
-            "{faults:?}: Parallel({workers}) diverged from Sequential"
+            d, &seq,
+            "concurrent run {i} diverged from the sequential run"
         );
     }
 }
 
-/// Fault-free: completion stream, metrics, telemetry and trace JSON are
-/// bit-identical across Sequential / Parallel(2) / Parallel(8).
-#[test]
-fn parallel_runs_bit_match_sequential_without_faults() {
-    assert_mode_invariant(Faults::None);
-}
-
-/// An armed zero-rate fault plan stays invisible in every mode.
-#[test]
-fn parallel_runs_bit_match_sequential_with_zero_rate_faults() {
-    assert_mode_invariant(Faults::ZeroRate);
-}
-
-/// 1 % transient read errors exercise the retry/backoff machinery; the
-/// whole recovery path must replay identically across modes.
-#[test]
-fn parallel_runs_bit_match_sequential_with_transient_faults() {
-    assert_mode_invariant(Faults::OnePercentTransient);
-}
-
-/// Same seed, same mode → bit-identical digest; the parallel stepper is
-/// as replayable as the sequential one despite worker scheduling being
-/// OS-nondeterministic.
+/// All three fault regimes run side by side, twice: each regime replays
+/// bit-identically across the two rounds and hashes to its pinned value,
+/// so a faulted neighbour cannot perturb a fault-free run.
 #[test]
 fn parallel_same_seed_replays_bit_identically() {
-    let a = run_under(ExecMode::Parallel(8), Faults::OnePercentTransient);
-    let b = run_under(ExecMode::Parallel(8), Faults::OnePercentTransient);
-    assert_eq!(a, b, "same-seed Parallel(8) runs diverged");
+    let regimes = [Faults::None, Faults::ZeroRate, Faults::OnePercentTransient];
+    let pinned = [PINNED_NONE, PINNED_ZERO_RATE, PINNED_TRANSIENT];
+    let first = run_concurrently(&regimes);
+    let second = run_concurrently(&regimes);
+    for ((faults, pin), (a, b)) in regimes.iter().zip(pinned).zip(first.iter().zip(&second)) {
+        assert_eq!(a, b, "{faults:?}: same-seed concurrent runs diverged");
+        assert_eq!(
+            a.fnv1a(),
+            pin,
+            "{faults:?}: concurrent digest moved from its pinned reference"
+        );
+    }
 }
