@@ -115,8 +115,18 @@ impl TableImage {
         start..end
     }
 
-    /// Fills a page buffer with the encoded rows that live on relative
-    /// page `page`.
+    /// Bytes of relative page `page` that hold rows: `rows_in_page × row
+    /// bytes` (one row on a spread page, a full page's worth on a dense
+    /// one, fewer on the last page, 0 past the image).
+    #[inline]
+    pub fn page_data_len(&self, page: u64) -> usize {
+        let rows = self.rows_in_page(page);
+        rows.end.saturating_sub(rows.start) as usize * self.table.spec().row_bytes()
+    }
+
+    /// Writes the encoded rows that live on relative page `page` into the
+    /// first [`TableImage::page_data_len`] bytes of `out`, leaving the
+    /// rest untouched.
     ///
     /// Pages are regenerated on every flash-read miss (the oracle-backed
     /// store synthesises contents on demand), so the encode scratch is
@@ -147,6 +157,7 @@ impl TableImage {
     pub fn decode_row_into(&self, page_data: &[u8], offset: usize, out: &mut [f32]) {
         let spec = self.table.spec();
         assert_eq!(out.len(), spec.dim, "output has wrong dim");
+        debug_assert_row_in_image(page_data, offset, spec.row_bytes());
         spec.quant.decode_into(&page_data[offset..], out);
     }
 
@@ -161,6 +172,7 @@ impl TableImage {
     pub fn accumulate_row_at(&self, page_data: &[u8], offset: usize, acc: &mut [f32]) {
         let spec = self.table.spec();
         assert_eq!(acc.len(), spec.dim, "accumulator has wrong dim");
+        debug_assert_row_in_image(page_data, offset, spec.row_bytes());
         spec.quant.decode_accumulate(&page_data[offset..], acc);
     }
 
@@ -173,8 +185,21 @@ impl TableImage {
     }
 }
 
+/// A page image handed out by the flash layer may stop after its last row
+/// (see [`TableImageOracle`]); a row decoded from it must lie inside it.
+#[inline]
+fn debug_assert_row_in_image(page_data: &[u8], offset: usize, row_bytes: usize) {
+    debug_assert!(
+        offset + row_bytes <= page_data.len(),
+        "row at offset {offset} ({row_bytes} B) lies outside its {}-byte page image",
+        page_data.len()
+    );
+}
+
 /// Adapter installing a [`TableImage`] at a fixed base page so the flash
-/// layer can generate its contents on demand.
+/// layer can generate its contents on demand. A page's image is exactly
+/// its rows ([`TableImage::page_data_len`] bytes), so a spread table's
+/// flash reads fill and cache one row, not a 16 KB page of zeros.
 #[derive(Debug)]
 pub struct TableImageOracle {
     image: Arc<TableImage>,
@@ -187,16 +212,23 @@ impl TableImageOracle {
     pub fn new(image: Arc<TableImage>, base_page: u64) -> Self {
         TableImageOracle { image, base_page }
     }
+
+    fn relative(&self, page_index: u64) -> u64 {
+        page_index
+            .checked_sub(self.base_page)
+            .expect("oracle asked outside its range")
+    }
 }
 
 impl PageOracle for TableImageOracle {
+    fn page_len(&self, page_index: u64, _page_bytes: usize) -> usize {
+        self.image.page_data_len(self.relative(page_index))
+    }
+
     fn fill_page(&self, page_index: u64, out: &mut [u8]) {
-        let rel = page_index
-            .checked_sub(self.base_page)
-            .expect("oracle asked outside its range");
-        if rel < self.image.pages() {
-            self.image.fill_relative_page(rel, out);
-        }
+        let rel = self.relative(page_index);
+        debug_assert_eq!(out.len(), self.image.page_data_len(rel));
+        self.image.fill_relative_page(rel, out);
     }
 }
 
@@ -262,14 +294,58 @@ mod tests {
             512,
         ));
         let oracle = TableImageOracle::new(img.clone(), 1000);
-        let mut out = vec![0u8; 512];
+        let mut out = vec![0u8; oracle.page_len(1005, 512)];
         oracle.fill_page(1005, &mut out);
         let dec = img.decode_row_at(&out, 0);
         assert_eq!(dec, img.table().row_f32(5));
-        // Beyond the table: untouched zeros.
-        let mut out2 = vec![0u8; 512];
-        oracle.fill_page(1000 + 64, &mut out2);
-        assert!(out2.iter().all(|&b| b == 0));
+        // Beyond the table: an empty image.
+        assert_eq!(oracle.page_len(1000 + 64, 512), 0);
+        oracle.fill_page(1000 + 64, &mut []);
+    }
+
+    /// The oracle contract, for every quantisation and page kind: the
+    /// declared length is the page's rows, and `fill_page` writes every
+    /// declared byte. Poisoning alone cannot show the latter (an encoded
+    /// row may itself hold the poison byte: 85/64 in F32 encodes an 0xAA),
+    /// so each image is filled over two different poisons and both fills
+    /// must equal the rows' encodings exactly.
+    #[test]
+    fn oracle_declares_its_rows_and_writes_every_declared_byte() {
+        const PAGE: usize = 4096;
+        for q in [Quantization::F32, Quantization::F16, Quantization::Int8] {
+            for layout in [PageLayout::Spread, PageLayout::Dense] {
+                // 1000 rows leave a partial last page for every dense
+                // row size here.
+                let img = Arc::new(TableImage::new(table(1000, 16, q), layout, PAGE));
+                let row_bytes = img.table().spec().row_bytes();
+                let last = img.pages() - 1;
+                if layout == PageLayout::Dense {
+                    assert!(img.rows_in_page(last).count() < img.rows_per_page() as usize);
+                }
+                let oracle = TableImageOracle::new(img.clone(), 7);
+                for page in [0, 1, last] {
+                    let rows = img.rows_in_page(page);
+                    let len = oracle.page_len(7 + page, PAGE);
+                    assert_eq!(
+                        len,
+                        rows.clone().count() * row_bytes,
+                        "{q:?} {layout:?} p{page}"
+                    );
+                    let mut want = Vec::with_capacity(len);
+                    for row in rows {
+                        let mut enc = vec![0u8; row_bytes];
+                        img.table().encode_row(row, &mut enc);
+                        want.extend_from_slice(&enc);
+                    }
+                    for poison in [0xAA, 0x55] {
+                        let mut out = vec![poison; len];
+                        oracle.fill_page(7 + page, &mut out);
+                        assert_eq!(out, want, "{q:?} {layout:?} p{page} poison {poison:#x}");
+                    }
+                }
+                assert_eq!(oracle.page_len(7 + img.pages(), PAGE), 0);
+            }
+        }
     }
 
     #[test]

@@ -15,13 +15,13 @@
 //! accesses can be conducted in parallel to provide higher aggregated
 //! bandwidth and hide high latency operations").
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
 use recssd_sim::stats::{Counter, Histogram};
-use recssd_sim::{SimDuration, SimTime};
+use recssd_sim::{FxHashMap, SimDuration, SimTime};
 
 use crate::fault::{FaultPlan, ReadFault};
 use crate::{FlashConfig, PageOracle, PageStore, Ppa};
@@ -111,7 +111,10 @@ pub struct FlashCompletion {
     /// The page (or block head, for erases) it addressed.
     pub ppa: Ppa,
     /// Page contents, for reads: a page image from the array's pool (see
-    /// [`FlashArray::recycle_page`]).
+    /// [`FlashArray::recycle_page`]). The image holds the page's
+    /// meaningful bytes, which for an oracle page may be fewer than a
+    /// page (see the [`PageOracle`] contract); bytes past its end read as
+    /// zeros.
     pub data: Option<Arc<[u8]>>,
     /// When the operation was submitted (for latency accounting).
     pub submitted_at: SimTime,
@@ -242,11 +245,38 @@ struct OpState {
     retried: bool,
 }
 
-/// Largest number of recycled page images the array keeps. Sized to cover
-/// the deepest realistic read backlog (an NDP request fanning a full batch
-/// out across the channels) and the page-cache eviction churn behind it,
-/// so steady-state reads allocate nothing.
+/// Largest number of recycled page images the array keeps per image
+/// length. Sized to cover the deepest realistic read backlog (an NDP
+/// request fanning a full batch out across the channels) and the
+/// page-cache eviction churn behind it, so steady-state reads allocate
+/// nothing.
 const PAGE_POOL_CAP: usize = 1024;
+
+/// Free-lists of exclusively owned page images, one per image length: a
+/// read takes an image of exactly its page's length, and every image goes
+/// back to the list of its own length.
+#[derive(Debug, Default)]
+struct PagePool {
+    buckets: FxHashMap<usize, Vec<Arc<[u8]>>>,
+}
+
+impl PagePool {
+    /// An exclusively owned image of `len` bytes with unspecified
+    /// contents.
+    fn take(&mut self, len: usize) -> Arc<[u8]> {
+        self.buckets
+            .get_mut(&len)
+            .and_then(Vec::pop)
+            .unwrap_or_else(|| vec![0u8; len].into())
+    }
+
+    fn put(&mut self, page: Arc<[u8]>) {
+        let bucket = self.buckets.entry(page.len()).or_default();
+        if bucket.len() < PAGE_POOL_CAP {
+            bucket.push(page);
+        }
+    }
+}
 
 /// The NAND flash array: geometry, timing, per-resource scheduling and page
 /// contents. See the [crate docs](crate) for the usage pattern.
@@ -256,12 +286,12 @@ pub struct FlashArray {
     dies: Vec<Resource>,
     channels: Vec<Resource>,
     store: PageStore,
-    block_write_ptr: HashMap<u64, u32>,
-    ops: HashMap<FlashOpId, OpState>,
+    block_write_ptr: FxHashMap<u64, u32>,
+    ops: FxHashMap<FlashOpId, OpState>,
     next_op: u64,
-    /// Free-list of exclusively owned full-page images (see
-    /// [`FlashArray::recycle_page`]); completed reads fill one in place.
-    page_pool: Vec<Arc<[u8]>>,
+    /// Recycled page images (see [`FlashArray::recycle_page`]); completed
+    /// reads fill one in place.
+    page_pool: PagePool,
     /// Optional fault-injection overlay (`None` = perfectly reliable).
     fault: Option<FaultPlan>,
     stats: FlashStats,
@@ -276,17 +306,11 @@ impl FlashArray {
             dies: (0..n_dies).map(|_| Resource::default()).collect(),
             channels: (0..n_channels).map(|_| Resource::default()).collect(),
             store: PageStore::new(),
-            block_write_ptr: HashMap::new(),
-            // Pre-sized for the deepest realistic in-flight set — an
-            // NDP request fans a full batch's page reads out at once,
-            // so hundreds of ops can be queued on the resources (cf.
-            // `PAGE_POOL_CAP`) — so the hot submit/retire churn
-            // never resizes the table: with monotonically increasing
-            // op ids, growth-by-tombstone would otherwise trickle
-            // allocations into steady state.
-            ops: HashMap::with_capacity(PAGE_POOL_CAP.max(n_dies + 8 * n_channels)),
+            block_write_ptr: FxHashMap::default(),
+            // Sized by the first submit (see `submit`).
+            ops: FxHashMap::default(),
             next_op: 0,
-            page_pool: Vec::new(),
+            page_pool: PagePool::default(),
             fault: None,
             stats: FlashStats {
                 channel_busy: vec![SimDuration::ZERO; n_channels],
@@ -385,31 +409,21 @@ impl FlashArray {
     }
 
     /// Direct, zero-time access to page contents (for assertions and for
-    /// the FTL's internally cached pages). Returns the first `n` bytes.
+    /// the FTL's internally cached pages). Returns the first `n` bytes of
+    /// the zero-extended page.
     pub fn page_bytes_prefix(&self, ppa: Ppa, n: usize) -> Vec<u8> {
         let idx = self.config.geometry.linear_index(ppa);
         let page = self.store.read(idx, self.config.geometry.page_bytes);
         page[..n].to_vec()
     }
 
-    /// Zero-time read of a full page into `out` (model-internal fast path;
-    /// timing must be charged by the caller).
-    pub fn read_page_into(&self, ppa: Ppa, out: &mut [u8]) {
-        let idx = self.config.geometry.linear_index(ppa);
-        self.store.read_into(idx, out);
-    }
-
     /// Offers a page image back to the pool once a holder is done with it.
     /// The image is kept only when the caller held the last reference: a
     /// page still shared with a cache or a host is never overwritten,
-    /// because the next read fills a pooled image in place. Wrong-sized
-    /// images are dropped (the pool only serves whole pages).
+    /// because the next read fills a pooled image in place.
     pub fn recycle_page(&mut self, page: Arc<[u8]>) {
-        if Arc::strong_count(&page) == 1
-            && page.len() == self.config.geometry.page_bytes
-            && self.page_pool.len() < PAGE_POOL_CAP
-        {
-            self.page_pool.push(page);
+        if Arc::strong_count(&page) == 1 {
+            self.page_pool.put(page);
         }
     }
 
@@ -420,25 +434,22 @@ impl FlashArray {
     ///
     /// Panics if `data` is longer than a page.
     pub fn page_image(&mut self, data: &[u8]) -> Arc<[u8]> {
-        let mut page = self.take_page();
+        let mut page = self.page_pool.take(self.config.geometry.page_bytes);
         let buf = Arc::get_mut(&mut page).expect("pooled pages are exclusively owned");
         buf[..data.len()].copy_from_slice(data);
         buf[data.len()..].fill(0);
         page
     }
 
-    /// An exclusively owned page image with unspecified contents.
-    fn take_page(&mut self) -> Arc<[u8]> {
-        self.page_pool
-            .pop()
-            .unwrap_or_else(|| vec![0u8; self.config.geometry.page_bytes].into())
-    }
-
-    /// A pooled page image holding the contents of linear page `idx`.
+    /// A pooled image of linear page `idx`, exactly as long as the page's
+    /// image (see [`PageOracle::page_len`]) and filled in place.
     fn read_page_pooled(&mut self, idx: u64) -> Arc<[u8]> {
-        let mut page = self.take_page();
+        let source = self.store.source(idx);
+        let mut page = self
+            .page_pool
+            .take(source.image_len(self.config.geometry.page_bytes));
         let buf = Arc::get_mut(&mut page).expect("pooled pages are exclusively owned");
-        self.store.read_into(idx, buf);
+        source.fill(buf);
         page
     }
 
@@ -541,6 +552,19 @@ impl FlashArray {
             }
         }
 
+        if self.ops.capacity() == 0 {
+            // Pre-sized for the deepest realistic in-flight set — an NDP
+            // request fans a full batch's page reads out at once, so
+            // hundreds of ops can be queued on the resources (cf.
+            // `PAGE_POOL_CAP`) — so the hot submit/retire churn never
+            // resizes the table: with monotonically increasing op ids,
+            // growth-by-tombstone would otherwise trickle allocations
+            // into steady state. Sized at the first submit rather than in
+            // `new`: an array that never sees an operation (a DRAM
+            // tier's unread flash image) holds no table.
+            self.ops
+                .reserve(PAGE_POOL_CAP.max(self.dies.len() + 8 * self.channels.len()));
+        }
         let id = FlashOpId(self.next_op);
         self.next_op += 1;
         self.ops.insert(
@@ -1052,6 +1076,7 @@ mod tests {
         struct IdxOracle;
         impl PageOracle for IdxOracle {
             fn fill_page(&self, page_index: u64, out: &mut [u8]) {
+                out.fill(0);
                 out[..8].copy_from_slice(&page_index.to_le_bytes());
             }
         }

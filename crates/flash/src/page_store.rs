@@ -13,31 +13,100 @@
 //!
 //! Explicit data shadows oracle data; an erase tombstones oracle pages.
 //!
+//! A page read yields an *image*: the page's meaningful bytes, not
+//! necessarily the whole page. An oracle declares how long each of its
+//! pages is ([`PageOracle::page_len`]) and writes every byte of that
+//! length, so a spread embedding table's page image is one 128 B row
+//! rather than 16 KB of mostly zeros, and nothing is zero-filled only to
+//! be ignored. Explicit, erased and never-written pages read as whole,
+//! zero-padded pages. Bytes past an image's end read as zeros
+//! ([`PageStore::read`] returns that zero-extended view). Image lengths
+//! are a host-memory matter only: simulated transfer sizes are always
+//! whole pages.
+//!
 //! Deviation from real NAND: unwritten pages read as zeros (not 0xFF). The
 //! workloads in this reproduction never read erased pages for data, and
 //! zero-fill lets us trim trailing zeros when storing sparse page images.
 
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
+
+use recssd_sim::{FxHashMap, FxHashSet};
 
 /// Synthesises the contents of preloaded pages on demand.
 ///
 /// Implementations must be deterministic: the same page index must always
 /// produce the same bytes, because a page may be regenerated many times.
 pub trait PageOracle: std::fmt::Debug + Send + Sync {
-    /// Fills `out` (one full page, pre-zeroed) with the contents of the
-    /// page at linear index `page_index` (see
-    /// [`FlashGeometry::linear_index`](crate::FlashGeometry::linear_index)).
+    /// Length in bytes of the image of the page at linear index
+    /// `page_index` on a device with `page_bytes`-byte pages: how many
+    /// leading bytes of the page hold data (the rest read as zeros). At
+    /// most `page_bytes`; the default is the whole page.
+    fn page_len(&self, page_index: u64, page_bytes: usize) -> usize {
+        let _ = page_index;
+        page_bytes
+    }
+
+    /// Writes the contents of the page at linear index `page_index` (see
+    /// [`FlashGeometry::linear_index`](crate::FlashGeometry::linear_index))
+    /// into `out`, which is exactly [`PageOracle::page_len`] bytes long.
+    /// `out` is a recycled buffer holding another page's bytes, so every
+    /// byte of it must be written.
     fn fill_page(&self, page_index: u64, out: &mut [u8]);
+}
+
+/// Where one page's bytes come from, resolved once per read.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PageSource<'a> {
+    index: u64,
+    kind: SourceKind<'a>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum SourceKind<'a> {
+    /// Explicitly written bytes (trailing zeros trimmed).
+    Explicit(&'a [u8]),
+    /// A preloaded page synthesised by its oracle.
+    Oracle(&'a dyn PageOracle),
+    /// Never written, or erased.
+    Zeros,
+}
+
+impl PageSource<'_> {
+    /// Length of the page's image on a device with `page_bytes`-byte
+    /// pages: the oracle's declared length, or the whole page.
+    pub(crate) fn image_len(&self, page_bytes: usize) -> usize {
+        match self.kind {
+            SourceKind::Oracle(oracle) => {
+                let len = oracle.page_len(self.index, page_bytes);
+                debug_assert!(len <= page_bytes, "oracle page longer than a page");
+                len
+            }
+            SourceKind::Explicit(_) | SourceKind::Zeros => page_bytes,
+        }
+    }
+
+    /// Writes every byte of `out`, an image of [`PageSource::image_len`]
+    /// bytes.
+    pub(crate) fn fill(&self, out: &mut [u8]) {
+        match self.kind {
+            SourceKind::Explicit(data) => {
+                let (head, tail) = out.split_at_mut(data.len());
+                head.copy_from_slice(data);
+                tail.fill(0);
+            }
+            SourceKind::Oracle(oracle) => oracle.fill_page(self.index, out),
+            SourceKind::Zeros => out.fill(0),
+        }
+    }
 }
 
 /// Sparse, oracle-backed storage of page contents.
 #[derive(Debug, Default)]
 pub struct PageStore {
-    explicit: HashMap<u64, Box<[u8]>>,
+    explicit: FxHashMap<u64, Box<[u8]>>,
     oracles: Vec<(Range<u64>, Arc<dyn PageOracle>)>,
-    tombstones: HashSet<u64>,
+    tombstones: FxHashSet<u64>,
 }
 
 impl PageStore {
@@ -83,23 +152,28 @@ impl PageStore {
             .map(|(_, o)| o)
     }
 
-    /// Reads the full page at `page_index` into `out`, zero-filling
-    /// whatever was never written.
-    pub fn read_into(&self, page_index: u64, out: &mut [u8]) {
-        out.fill(0);
-        if let Some(data) = self.explicit.get(&page_index) {
-            out[..data.len()].copy_from_slice(data);
-        } else if !self.tombstones.contains(&page_index) {
-            if let Some(oracle) = self.oracle_for(page_index) {
-                oracle.fill_page(page_index, out);
-            }
+    /// Resolves where the bytes of page `page_index` come from.
+    pub(crate) fn source(&self, page_index: u64) -> PageSource<'_> {
+        let kind = if let Some(data) = self.explicit.get(&page_index) {
+            SourceKind::Explicit(data)
+        } else if self.tombstones.contains(&page_index) {
+            SourceKind::Zeros
+        } else {
+            self.oracle_for(page_index)
+                .map_or(SourceKind::Zeros, |o| SourceKind::Oracle(&**o))
+        };
+        PageSource {
+            index: page_index,
+            kind,
         }
     }
 
-    /// Reads a page into a freshly allocated buffer of `page_bytes`.
+    /// Reads a whole page of `page_bytes` into a freshly allocated buffer:
+    /// the page's image, zero-extended.
     pub fn read(&self, page_index: u64, page_bytes: usize) -> Box<[u8]> {
+        let source = self.source(page_index);
         let mut buf = vec![0u8; page_bytes].into_boxed_slice();
-        self.read_into(page_index, &mut buf);
+        source.fill(&mut buf[..source.image_len(page_bytes)]);
         buf
     }
 
@@ -128,6 +202,7 @@ mod tests {
     struct SeqOracle;
     impl PageOracle for SeqOracle {
         fn fill_page(&self, page_index: u64, out: &mut [u8]) {
+            out.fill(0);
             out[0] = page_index as u8;
             out[1] = 0xAB;
         }
@@ -172,6 +247,31 @@ mod tests {
     }
 
     #[test]
+    fn short_oracle_images_read_zero_extended() {
+        #[derive(Debug)]
+        struct Short;
+        impl PageOracle for Short {
+            fn page_len(&self, page_index: u64, _page_bytes: usize) -> usize {
+                page_index as usize
+            }
+            fn fill_page(&self, _i: u64, out: &mut [u8]) {
+                out.fill(0xEE);
+            }
+        }
+        let mut store = PageStore::new();
+        store.register_oracle(0..10, Arc::new(Short));
+        let source = store.source(3);
+        assert_eq!(source.image_len(16), 3);
+        let page = store.read(3, 16);
+        assert_eq!(&page[..3], &[0xEE; 3]);
+        assert!(page[3..].iter().all(|&b| b == 0));
+        // Tombstoned oracle pages are whole zero pages again.
+        store.erase(3);
+        assert_eq!(store.source(3).image_len(16), 16);
+        assert!(store.read(3, 16).iter().all(|&b| b == 0));
+    }
+
+    #[test]
     fn explicit_write_shadows_oracle() {
         let mut store = PageStore::new();
         store.register_oracle(0..100, Arc::new(SeqOracle));
@@ -185,6 +285,7 @@ mod tests {
         struct Const(u8);
         impl PageOracle for Const {
             fn fill_page(&self, _i: u64, out: &mut [u8]) {
+                out.fill(0);
                 out[0] = self.0;
             }
         }

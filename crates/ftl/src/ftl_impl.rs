@@ -46,7 +46,9 @@ pub enum FtlOutcome {
         req: ReqId,
         /// The logical page read.
         lpn: Lpn,
-        /// Full page contents.
+        /// The page's image: its meaningful bytes, which for a preloaded
+        /// page may stop short of a page (bytes past the end are zeros;
+        /// see [`PageOracle::page_len`]).
         data: Arc<[u8]>,
     },
     /// A pending logical-page read hit an injected uncorrectable media

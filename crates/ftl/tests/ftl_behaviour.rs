@@ -276,6 +276,7 @@ fn preloaded_region_reads_through_oracle_and_respects_overwrites() {
     struct TagOracle;
     impl PageOracle for TagOracle {
         fn fill_page(&self, page_index: u64, out: &mut [u8]) {
+            out.fill(0);
             out[..8].copy_from_slice(&(page_index ^ 0xDEAD).to_le_bytes());
         }
     }
@@ -304,6 +305,7 @@ fn adjacent_preloads_share_boundary_blocks() {
     struct Z;
     impl PageOracle for Z {
         fn fill_page(&self, i: u64, out: &mut [u8]) {
+            out.fill(0);
             out[0] = i as u8;
         }
     }

@@ -150,6 +150,10 @@ pub enum CompletionData {
     /// order. The images are shared with the device (its page cache may
     /// hold the same `Arc`), so the host reads them in place and hands
     /// them back instead of copying.
+    ///
+    /// An image may be shorter than a block when the block's data ends
+    /// early (a preloaded table page); the bytes past it are zeros. The
+    /// simulated DMA still moves whole blocks.
     Pages(Vec<Arc<[u8]>>),
     /// A device-built payload (NDP result blocks).
     Bytes(Vec<u8>),

@@ -143,6 +143,7 @@ fn preloaded_tables_are_readable_via_nvme() {
     struct Tagged;
     impl PageOracle for Tagged {
         fn fill_page(&self, idx: u64, out: &mut [u8]) {
+            out.fill(0);
             out[..8].copy_from_slice(&idx.to_le_bytes());
         }
     }
@@ -166,7 +167,9 @@ fn random_single_block_reads_are_firmware_bound() {
     #[derive(Debug)]
     struct Z;
     impl PageOracle for Z {
-        fn fill_page(&self, _i: u64, _o: &mut [u8]) {}
+        fn fill_page(&self, _i: u64, out: &mut [u8]) {
+            out.fill(0);
+        }
     }
     h.dev.preload(Lpn(0), 1024, Arc::new(Z));
     let n: u64 = 128;
@@ -203,7 +206,9 @@ fn large_sequential_reads_are_flash_bound_near_advertised_bandwidth() {
     #[derive(Debug)]
     struct Z;
     impl PageOracle for Z {
-        fn fill_page(&self, _i: u64, _o: &mut [u8]) {}
+        fn fill_page(&self, _i: u64, out: &mut [u8]) {
+            out.fill(0);
+        }
     }
     h.dev.preload(Lpn(0), 2048, Arc::new(Z));
     let nlb = 64u32;
